@@ -232,7 +232,6 @@ fn session_config(dir: &std::path::Path, jobs: usize) -> SessionConfig {
             jobs,
             ..ProverOptions::default()
         },
-        jobs,
         store_dir: Some(dir.to_string_lossy().into_owned()),
         ..SessionConfig::default()
     }

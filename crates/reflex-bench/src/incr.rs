@@ -298,7 +298,6 @@ pub fn run_incr(options: &ProverOptions, jobs: usize) -> IncrBench {
             let cold_start = Instant::now();
             let session = VerifySession::new(SessionConfig {
                 options: options.clone(),
-                jobs: 1,
                 ..SessionConfig::default()
             })
             .expect("cold session config is valid");
@@ -323,8 +322,10 @@ pub fn run_incr(options: &ProverOptions, jobs: usize) -> IncrBench {
         // exact engine. Per-edit reuse classification and store traffic are
         // read back from the session's in-memory event sink.
         let session = VerifySession::new(SessionConfig {
-            options: options.clone(),
-            jobs,
+            options: ProverOptions {
+                jobs,
+                ..options.clone()
+            },
             store_dir: Some(dir.to_string_lossy().into_owned()),
             ..SessionConfig::default()
         })

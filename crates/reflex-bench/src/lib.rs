@@ -30,11 +30,10 @@ pub mod store;
 pub mod stress;
 
 use std::fmt;
+use std::sync::Arc;
 use std::time::Instant;
 
-use reflex_driver::{
-    BatchItem, NullSink, SessionBatch, SessionConfig, SessionReport, VerifySession,
-};
+use reflex_driver::{Env, NullSink, SessionConfig, SessionReport, VerifySession};
 use reflex_kernels::{all_benchmarks, figure6, loc_split};
 use reflex_verify::{check_certificate, ProverOptions};
 
@@ -137,7 +136,6 @@ pub fn run_figure6(options: &ProverOptions) -> Result<Vec<Fig6Result>, BenchErro
         let checked = (bench.checked)();
         let config = SessionConfig {
             options: options.clone(),
-            jobs: 1,
             ..SessionConfig::default()
         };
         // Certificates are checked by `rows_from_report` (timed
@@ -153,12 +151,12 @@ pub fn run_figure6(options: &ProverOptions) -> Result<Vec<Fig6Result>, BenchErro
     Ok(out)
 }
 
-/// [`run_figure6`] with the seven kernels fanned out concurrently through
-/// a [`SessionBatch`] over `jobs` worker threads (`0`: one per available
-/// CPU). The batch's sessions share the process-global term interner and
-/// entailment memo, and each program's cross-property [`reflex_verify::ProofCache`]
-/// is shared across its properties; results come back in the same order
-/// as [`run_figure6`], with identical outcomes and certificates (cached
+/// [`run_figure6`] with one session per kernel over a shared [`Env`] whose
+/// obligation pool has `jobs` workers (`0`: one per available CPU). The
+/// sessions share the process-global term interner and entailment memo,
+/// and each program's cross-property [`reflex_verify::ProofCache`] is
+/// shared across its properties; results come back in the same order as
+/// [`run_figure6`], with identical outcomes and certificates (cached
 /// subproof packages are pure functions of their keys).
 ///
 /// # Errors
@@ -169,26 +167,22 @@ pub fn run_figure6_parallel(
     options: &ProverOptions,
     jobs: usize,
 ) -> Result<Vec<Fig6Result>, BenchError> {
-    let benches = all_benchmarks();
-    let config = SessionConfig {
-        options: options.clone(),
-        jobs,
-        ..SessionConfig::default()
-    };
-    let batch = SessionBatch::new(config)
-        .map_err(|e| BenchError(e.to_string()))?
-        .without_certificate_checks();
-    let items: Vec<BatchItem> = benches
-        .iter()
-        .map(|b| BatchItem {
-            name: b.name.to_owned(),
-            source: b.source.to_owned(),
+    let env = Arc::new(
+        Env::new(&SessionConfig {
+            options: ProverOptions {
+                jobs,
+                ..options.clone()
+            },
+            ..SessionConfig::default()
         })
-        .collect();
-    let reports = batch.verify(&items, &NullSink);
+        .map_err(|e| BenchError(e.to_string()))?,
+    );
     let mut out = Vec::with_capacity(figure6::ROWS.len());
-    for (bench, report) in benches.iter().zip(reports) {
-        let report = report.map_err(|e| BenchError(format!("{}: {e}", bench.name)))?;
+    for bench in all_benchmarks() {
+        let report = VerifySession::with_env(Arc::clone(&env))
+            .without_certificate_checks()
+            .verify_source(bench.name, bench.source, &NullSink)
+            .map_err(|e| BenchError(format!("{}: {e}", bench.name)))?;
         let checked = (bench.checked)();
         out.extend(rows_from_report(bench.name, &checked, &report, options)?);
     }
@@ -596,7 +590,6 @@ pub fn run_utility() -> Result<Vec<UtilityResult>, BenchError> {
                 .map_err(|e| BenchError(format!("{mutation}: mutant no longer typechecks: {e}")))?;
             let session = VerifySession::new(SessionConfig {
                 options: options.clone(),
-                jobs: 1,
                 property: Some(property.to_owned()),
                 ..SessionConfig::default()
             })

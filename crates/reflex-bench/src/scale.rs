@@ -18,7 +18,7 @@
 use std::time::Instant;
 
 use reflex_kernels::synth::{self, SynthConfig};
-use reflex_verify::{check_certificate, prove_all_parallel_with_stats, ProverOptions};
+use reflex_verify::{check_certificate, prove_all, ProverOptions};
 
 use crate::BenchError;
 
@@ -110,7 +110,7 @@ pub fn run_scale_preset(preset: &str, seed: u64, jobs: usize) -> Result<ScaleRow
         ..ProverOptions::default()
     };
     let t0 = Instant::now();
-    let (results, _stats) = prove_all_parallel_with_stats(&checked, &options, jobs);
+    let results = prove_all(&checked, &options);
     let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
 
     let mut obligations = 0u64;

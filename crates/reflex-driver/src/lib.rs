@@ -9,18 +9,17 @@
 //!
 //! * [`VerifySession`] — a staged pipeline
 //!   (`Load → Parse → Typecheck → Plan → Prove → Persist → Report`) over a
-//!   shared [`Env`] (cross-property [`ProofCache`], prover options, proof
-//!   store handle, job pool, session budget);
+//!   shared [`Env`] (cross-property [`ProofCache`], prover options — whose
+//!   `jobs` is the width of the one obligation pool — proof store handle,
+//!   session budget). Many sessions over one [`Env`] verify many kernels
+//!   while sharing the term interner and each program's proof cache;
 //! * [`Instrument`] — structured per-stage events (wall time, cache and
 //!   store hit counts, proof-search node counts) into pluggable sinks:
 //!   human text, JSON lines, in-memory for tests and benches;
 //! * cooperative cancellation and wall-clock/node budgets
 //!   ([`reflex_verify::ProofBudget`]) threaded into the provers, so a
 //!   stuck property degrades to a reported [`Outcome::Timeout`] instead of
-//!   hanging the batch;
-//! * [`SessionBatch`] — verifying many kernels concurrently while sharing
-//!   the term interner (process-global by construction) and the
-//!   cross-property proof cache.
+//!   hanging the batch.
 //!
 //! Determinism contract: outcomes and certificates are byte-identical for
 //! every `jobs` value (inherited from [`reflex_verify`]'s pure-package
@@ -31,12 +30,14 @@
 #![warn(missing_docs)]
 
 mod instrument;
+mod stats;
 pub mod watch;
 
 pub use instrument::{
     json_string, Counters, Event, HumanSink, Instrument, JsonLinesSink, MemorySink, NullSink,
     PropertyStatus, Stage,
 };
+pub use stats::{PropStats, ProverStats};
 pub use watch::{BackoffPolicy, WatchIteration, WatchSession};
 
 use std::collections::HashMap;
@@ -49,9 +50,8 @@ use reflex_ast::Fp;
 use reflex_typeck::CheckedProgram;
 use reflex_verify::certificate::Certificate;
 use reflex_verify::{
-    check_certificate_with, load_candidates, persist_outcomes, prove_with_cache, resolve_jobs,
-    reverify_observed, Abstraction, CacheStats, Outcome, ProofBudget, ProofCache, ProofStore,
-    PropStats, ProverOptions, ProverStats, Reuse, VerifyError,
+    load_candidates, persist_outcomes, reverify_core, CacheStats, Checks, Outcome, ProofBudget,
+    ProofCache, ProofStore, ProverOptions, Reuse, VerifyError, VerifyRun,
 };
 
 /// Why a session could not run to completion (as opposed to per-property
@@ -70,16 +70,9 @@ pub enum SessionError {
     /// The program did not type-check.
     Typecheck(String),
     /// The prover rejected the request (unknown property, malformed
-    /// previous certificates).
+    /// previous certificates) or the independent checker rejected a fresh
+    /// certificate.
     Verify(VerifyError),
-    /// A freshly produced certificate failed the independent checker —
-    /// a prover bug surfacing exactly where the architecture routes it.
-    Check {
-        /// The property whose certificate was rejected.
-        property: String,
-        /// The checker's complaint.
-        message: String,
-    },
     /// The proof store could not be opened.
     Store {
         /// Store directory.
@@ -96,12 +89,6 @@ impl fmt::Display for SessionError {
             SessionError::Parse(e) => write!(f, "{e}"),
             SessionError::Typecheck(e) => write!(f, "type error: {e}"),
             SessionError::Verify(e) => write!(f, "{e}"),
-            SessionError::Check { property, message } => {
-                write!(
-                    f,
-                    "{property}: certificate rejected by the checker: {message}"
-                )
-            }
             SessionError::Store { path, message } => write!(f, "{path}: {message}"),
         }
     }
@@ -115,14 +102,13 @@ impl From<VerifyError> for SessionError {
     }
 }
 
-/// Configuration for a [`VerifySession`] or [`SessionBatch`].
+/// Configuration for a [`VerifySession`].
 #[derive(Debug, Clone, Default)]
 pub struct SessionConfig {
     /// Proof-search configuration (a session budget configured below is
-    /// installed into `options.budget` automatically).
+    /// installed into `options.budget` automatically). `options.jobs` is
+    /// the number of proof threads (`0`: one per CPU).
     pub options: ProverOptions,
-    /// Worker threads for the property/kernel fan-out (`0`: one per CPU).
-    pub jobs: usize,
     /// Persist and reuse certificates through a content-addressed proof
     /// store at this directory.
     pub store_dir: Option<String>,
@@ -150,15 +136,15 @@ pub struct SessionConfig {
     pub clock: Option<Arc<dyn reflex_verify::Clock>>,
 }
 
-/// Shared state of one session or batch: options, the cross-property
-/// proof caches, the store handle, the job pool width and the budget.
+/// Shared state of one or many sessions: options, the cross-property
+/// proof caches, the store handle and the budget.
 ///
 /// The term interner and the entailment memo are process-global by
 /// construction, so every [`Env`] shares them implicitly. The
 /// [`ProofCache`] tables are shared too, but namespaced by program
 /// fingerprint: cached subproof packages are pure functions of
 /// *(program, key)*, so serving a package across different programs
-/// would be wrong — a batch shares each program's cache across its
+/// would be wrong — an env shares each program's cache across its
 /// properties and across repeated sessions (the watch loop), never
 /// across distinct programs.
 #[derive(Debug)]
@@ -172,16 +158,8 @@ pub struct Env {
     /// watch loop can detach it on repeated I/O failure (degraded mode)
     /// and re-attach it on recovery without rebuilding the env.
     store: RwLock<Option<ProofStore>>,
-    /// Resolved worker-thread count.
-    pub jobs: usize,
     /// The session budget / cancellation token, if one was configured.
     pub budget: Option<Arc<ProofBudget>>,
-    /// This env's own symbolic-engine counters (interner and entailment
-    /// memo traffic). The underlying tables are process-global, but these
-    /// counters are scoped onto every proof task this env runs, so
-    /// `--stats` reports this session's work alone — a long-lived process
-    /// (watch loop, test binary) never leaks counts across envs.
-    pub sym_stats: Arc<reflex_symbolic::SymSessionStats>,
 }
 
 impl Env {
@@ -218,17 +196,8 @@ impl Env {
             options,
             caches: RwLock::new(HashMap::new()),
             store: RwLock::new(store),
-            jobs: resolve_jobs(config.jobs),
             budget,
-            sym_stats: reflex_symbolic::SymSessionStats::new(),
         })
-    }
-
-    /// Runs `f` with this env's symbolic counters scoped onto the current
-    /// thread. Every proof task (on any worker thread) must run inside
-    /// this so the env's counters see exactly this env's work.
-    pub fn with_sym_stats<R>(&self, f: impl FnOnce() -> R) -> R {
-        reflex_symbolic::with_session_stats(Arc::clone(&self.sym_stats), f)
     }
 
     /// A snapshot of the proof store handle, if one is attached. The
@@ -294,8 +263,11 @@ pub struct SessionReport {
     pub store_loaded: usize,
     /// Certificates written back to the proof store.
     pub store_saved: usize,
-    /// Whether fresh certificates were validated by the independent
-    /// checker during this run (reused store certificates always are).
+    /// Whether every certificate in this report passed the independent
+    /// checker during this run — except full reuses of an in-process
+    /// previous run, which are returned as they were. Store runs always
+    /// check; only [`VerifySession::without_certificate_checks`] turns
+    /// this off.
     pub certificates_checked: bool,
     /// The run's counter block and per-property rows.
     pub stats: ProverStats,
@@ -342,14 +314,17 @@ impl SessionReport {
         for (name, outcome) in &self.outcomes {
             match outcome {
                 Outcome::Proved(cert) => {
-                    let how = if self.reused.iter().any(|n| n == name) {
-                        ", reused from store, re-checked"
-                    } else if self.partial.iter().any(|n| n == name) {
-                        ", patched per-case, re-checked"
-                    } else if self.certificates_checked {
-                        ", certificate checked"
-                    } else {
-                        ""
+                    // Store runs always check (and load every reused
+                    // certificate); in-process full reuses never are.
+                    let reused = self.reused.iter().any(|n| n == name);
+                    let patched = self.partial.iter().any(|n| n == name);
+                    let how = match (reused, patched, self.certificates_checked) {
+                        (true, _, _) if self.store_loaded > 0 => ", reused from store, re-checked",
+                        (true, _, _) => ", reused from the previous run",
+                        (_, true, true) => ", patched per-case, re-checked",
+                        (_, true, false) => ", patched per-case",
+                        (_, _, true) => ", certificate checked",
+                        _ => "",
                     };
                     let _ = writeln!(
                         s,
@@ -470,14 +445,15 @@ fn status_of(outcome: &Outcome) -> PropertyStatus {
 ///
 /// One session verifies one program (from a path, source text, a checked
 /// program, or incrementally against previous certificates); construct
-/// many sessions over one [`Env`] — or use [`SessionBatch`] — to share
-/// the proof cache and budget across kernels.
+/// many sessions over one [`Env`] to share the proof cache and budget
+/// across kernels.
 #[derive(Debug, Clone)]
 pub struct VerifySession {
     env: Arc<Env>,
     /// Verify only this property, when set.
     property: Option<String>,
-    /// Validate fresh certificates with the independent checker.
+    /// Check the certificates this session produces with the independent
+    /// checker (store candidates are checked regardless).
     check_certificates: bool,
     /// Request-scoped prover options: the env's options with this
     /// session's own budget installed. `None` means the env's options
@@ -499,8 +475,7 @@ impl VerifySession {
         })
     }
 
-    /// A session over an existing shared [`Env`] (what [`SessionBatch`]
-    /// does internally).
+    /// A session over an existing shared [`Env`].
     pub fn with_env(env: Arc<Env>) -> VerifySession {
         VerifySession {
             env,
@@ -526,7 +501,7 @@ impl VerifySession {
     }
 
     /// Restricts the session to one property (the service core's
-    /// single-property requests).
+    /// single-property requests), with or without a store.
     pub fn with_property(mut self, property: Option<String>) -> VerifySession {
         self.property = property;
         self
@@ -553,8 +528,9 @@ impl VerifySession {
         }
     }
 
-    /// Disables independent-checker validation of fresh certificates
-    /// (store-loaded certificates are always re-validated regardless).
+    /// Disables independent-checker validation of the certificates this
+    /// session produces (with a store attached, every certificate is
+    /// checked regardless).
     pub fn without_certificate_checks(mut self) -> VerifySession {
         self.check_certificates = false;
         self
@@ -645,38 +621,30 @@ impl VerifySession {
     ) -> Result<SessionReport, SessionError> {
         let env = &*self.env;
         let options = self.options();
+        let jobs = options.effective_jobs();
         // One store snapshot per run: a concurrent detach (watch
         // degradation) must not split this run between two store states.
         let store = env.store();
+        let from_store = previous.is_none() && store.is_some();
+        let reuse_in_play = previous.is_some() || from_store;
         let session_start = Instant::now();
         sink.event(&Event::SessionStart {
             program: checked.program().name.clone(),
-            jobs: env.jobs,
+            jobs,
         });
-
-        let cache = env.cache_for(checked.fingerprints().program);
-        let paths_before = reflex_verify::paths_explored();
-        // This env's own counters (scoped onto every proof task below), so
-        // `--stats` reports this run alone even when other sessions share
-        // the process-global interner and memo. Snapshots, not resets: a
-        // reused env accumulates across its runs.
-        let queries_before = env.sym_stats.memo_queries();
-        let memo_hits_before = env.sym_stats.memo_hits();
-        let cache_before = cache.stats();
 
         // ---- Plan: store candidates / previous certificates -------------
         let plan_start = Instant::now();
         sink.event(&Event::StageStart { stage: Stage::Plan });
-        let candidates: Vec<(String, Certificate)> = match (previous, &store) {
+        let mut candidates: Vec<(String, Certificate)> = match (previous, &store) {
             (Some(prev), _) => prev.to_vec(),
             (None, Some(store)) => load_candidates(checked, options, store),
             (None, None) => Vec::new(),
         };
-        let store_loaded = if store.is_some() && previous.is_none() {
-            candidates.len()
-        } else {
-            0
-        };
+        if let Some(property) = &self.property {
+            candidates.retain(|(name, _)| name == property);
+        }
+        let store_loaded = if from_store { candidates.len() } else { 0 };
         sink.event(&Event::StageFinish {
             stage: Stage::Plan,
             wall_ms: ms_since(plan_start),
@@ -687,15 +655,34 @@ impl VerifySession {
         sink.event(&Event::StageStart {
             stage: Stage::Prove,
         });
+        // Storeless runs from scratch share the env's per-program cache (a
+        // repeated session over the same program starts warm); reuse runs
+        // get a cache of their own.
+        let cache = if reuse_in_play {
+            Arc::new(ProofCache::new())
+        } else {
+            env.cache_for(checked.fingerprints().program)
+        };
+        let cache_before = cache.stats();
+        // Store candidates must pass the checker before they are trusted;
+        // with checks on, so must everything this run produces.
+        let checks = if from_store {
+            Checks::All
+        } else if self.check_certificates {
+            Checks::Produced
+        } else {
+            Checks::None
+        };
         let prop_rows: Mutex<Vec<PropStats>> = Mutex::new(Vec::new());
         let observe = |name: &str, reuse: Reuse, outcome: &Outcome, wall_ms: f64| {
+            let obligations = outcome
+                .certificate()
+                .map_or(0, Certificate::obligation_count);
             sink.event(&Event::Property {
                 name: name.to_owned(),
                 status: status_of(outcome),
-                reuse: Some(reuse.as_str()),
-                obligations: outcome
-                    .certificate()
-                    .map_or(0, Certificate::obligation_count),
+                reuse: reuse_in_play.then_some(reuse.as_str()),
+                obligations,
                 wall_ms,
             });
             if let Ok(mut rows) = prop_rows.lock() {
@@ -703,63 +690,28 @@ impl VerifySession {
                     name: name.to_owned(),
                     proved: outcome.is_proved(),
                     wall_ms,
-                    obligations: outcome
-                        .certificate()
-                        .map_or(0, Certificate::obligation_count),
+                    obligations,
                 });
             }
         };
-
-        // Scope the env's symbolic counters over the whole Prove stage;
-        // the verify crate's pool re-installs the scope on every worker.
-        let (outcomes, reused, partial, reproved) =
-            env.with_sym_stats(|| -> Result<_, SessionError> {
-                Ok(
-                    if candidates.is_empty() && previous.is_none() && store.is_none() {
-                        // Plain proving: fan the properties out over the
-                        // program's shared cross-property cache (env-wide, so a
-                        // repeated session over the same program starts warm).
-                        let proved = self.prove_fresh(checked, &cache, sink)?;
-                        if let Ok(mut rows) = prop_rows.lock() {
-                            rows.extend(proved.iter().map(|(name, outcome, wall_ms)| {
-                                PropStats {
-                                    name: name.clone(),
-                                    proved: outcome.is_proved(),
-                                    wall_ms: *wall_ms,
-                                    obligations: outcome
-                                        .certificate()
-                                        .map_or(0, Certificate::obligation_count),
-                                }
-                            }));
-                        }
-                        let outcomes: Vec<(String, Outcome)> = proved
-                            .into_iter()
-                            .map(|(name, outcome, _)| (name, outcome))
-                            .collect();
-                        let reproved = outcomes.iter().map(|(n, _)| n.clone()).collect();
-                        (outcomes, Vec::new(), Vec::new(), reproved)
-                    } else {
-                        // Reuse ladder: store candidates are validated by the
-                        // independent checker before being trusted; in-process
-                        // certificates are exactly as trustworthy as their run.
-                        let validate = previous.is_none();
-                        let report = reverify_observed(
-                            &candidates,
-                            checked,
-                            options,
-                            env.jobs,
-                            validate,
-                            Some(&observe),
-                        )?;
-                        (
-                            report.outcomes,
-                            report.reused,
-                            report.partial,
-                            report.reproved,
-                        )
-                    },
-                )
-            })?;
+        // This run's own counters, scoped over the whole Prove stage (the
+        // engine's pool re-installs the scope on every worker), so a
+        // session reports its own work alone even while other sessions
+        // share the process-global interner and memo.
+        let counters = reflex_symbolic::SymSessionStats::new();
+        let report = reflex_symbolic::with_session_stats(Arc::clone(&counters), || {
+            reverify_core(
+                checked,
+                options,
+                VerifyRun {
+                    previous: &candidates,
+                    property: self.property.as_deref(),
+                    cache: Some(&cache),
+                    checks,
+                    observer: Some(&observe),
+                },
+            )
+        })?;
         sink.event(&Event::StageFinish {
             stage: Stage::Prove,
             wall_ms: ms_since(prove_start),
@@ -772,7 +724,7 @@ impl VerifySession {
             sink.event(&Event::StageStart {
                 stage: Stage::Persist,
             });
-            store_saved = persist_outcomes(checked, options, store, &outcomes);
+            store_saved = persist_outcomes(checked, options, store, &report.outcomes);
             sink.event(&Event::StageFinish {
                 stage: Stage::Persist,
                 wall_ms: ms_since(persist_start),
@@ -784,24 +736,24 @@ impl VerifySession {
         sink.event(&Event::StageStart {
             stage: Stage::Report,
         });
-        let cache_stats = cache_delta(&cache_before, &cache.stats());
         let mut rows = prop_rows.into_inner().unwrap_or_default();
         // Worker threads pushed rows in completion order; report them in
         // declaration order like every other consumer.
         rows.sort_by_key(|r| {
-            outcomes
+            report
+                .outcomes
                 .iter()
                 .position(|(n, _)| *n == r.name)
                 .unwrap_or(usize::MAX)
         });
         let stats = ProverStats {
-            jobs: env.jobs,
+            jobs,
             total_ms: ms_since(session_start),
             properties: rows,
-            paths_explored: reflex_verify::paths_explored() - paths_before,
-            cache: cache_stats,
-            solver_queries: env.sym_stats.memo_queries().saturating_sub(queries_before),
-            solver_memo_hits: env.sym_stats.memo_hits().saturating_sub(memo_hits_before),
+            paths_explored: counters.paths_explored(),
+            cache: cache_delta(&cache_before, &cache.stats()),
+            solver_queries: counters.memo_queries(),
+            solver_memo_hits: counters.memo_hits(),
             interned_terms: reflex_symbolic::intern_stats().nodes,
         };
         sink.event(&Event::Counters(Counters {
@@ -821,15 +773,15 @@ impl VerifySession {
 
         let report = SessionReport {
             program: checked.program().name.clone(),
-            reused,
-            partial,
-            reproved,
+            reused: report.reused,
+            partial: report.partial,
+            reproved: report.reproved,
             store_loaded,
             store_saved,
-            certificates_checked: self.check_certificates || store.is_some(),
+            certificates_checked: checks != Checks::None,
             wall_ms: ms_since(session_start),
             stats,
-            outcomes,
+            outcomes: report.outcomes,
         };
         sink.event(&Event::SessionFinish {
             proved: report.proved(),
@@ -839,174 +791,6 @@ impl VerifySession {
             wall_ms: report.wall_ms,
         });
         Ok(report)
-    }
-
-    /// Plain (non-incremental) proving: the property fan-out over the
-    /// env's shared cache, with per-property events and independent
-    /// certificate checking.
-    fn prove_fresh(
-        &self,
-        checked: &CheckedProgram,
-        cache: &ProofCache,
-        sink: &dyn Instrument,
-    ) -> Result<Vec<(String, Outcome, f64)>, SessionError> {
-        let env = &*self.env;
-        let options = self.options();
-        let abs = Abstraction::build(checked, options);
-        let names: Vec<String> = match &self.property {
-            Some(p) => {
-                // Surface the unknown-property error before spawning
-                // anything.
-                if checked.program().property(p).is_none() {
-                    return Err(SessionError::Verify(VerifyError::NoSuchProperty {
-                        name: p.clone(),
-                    }));
-                }
-                vec![p.clone()]
-            }
-            None => checked
-                .program()
-                .properties
-                .iter()
-                .map(|p| p.name.clone())
-                .collect(),
-        };
-
-        let prove_one = |name: &str| -> Result<(Outcome, f64), SessionError> {
-            let start = Instant::now();
-            // Panic isolation: a panicking proof task becomes this
-            // property's Crashed outcome instead of unwinding into the
-            // job pool and killing the session. Serial and parallel runs
-            // share this closure, so they classify identically.
-            let outcome = match reflex_verify::catch_crash(name, || {
-                prove_with_cache(&abs, name, options, Some(cache))
-            }) {
-                Ok(result) => result?,
-                Err(crashed) => crashed,
-            };
-            if self.check_certificates {
-                if let Some(cert) = outcome.certificate() {
-                    check_certificate_with(&abs, cert, options).map_err(|e| {
-                        SessionError::Check {
-                            property: name.to_owned(),
-                            message: e.to_string(),
-                        }
-                    })?;
-                }
-            }
-            let wall_ms = ms_since(start);
-            sink.event(&Event::Property {
-                name: name.to_owned(),
-                status: status_of(&outcome),
-                reuse: None,
-                obligations: outcome
-                    .certificate()
-                    .map_or(0, Certificate::obligation_count),
-                wall_ms,
-            });
-            Ok((outcome, wall_ms))
-        };
-        // The verify crate's work-stealing pool schedules the property
-        // tasks; results land in declaration order regardless of timing.
-        let results =
-            reflex_verify::sched::run_indexed(env.jobs, names.len(), |i| prove_one(&names[i]));
-        let mut outcomes = Vec::with_capacity(names.len());
-        for (name, result) in names.into_iter().zip(results) {
-            let (outcome, wall_ms) = result?;
-            outcomes.push((name, outcome, wall_ms));
-        }
-        Ok(outcomes)
-    }
-}
-
-/// Verifies many kernels concurrently over one shared [`Env`]: the term
-/// interner (process-global), the cross-property proof cache and the
-/// session budget are all shared, so an auxiliary invariant proved for
-/// one kernel is free for every other, and one budget bounds the whole
-/// batch.
-#[derive(Debug)]
-pub struct SessionBatch {
-    env: Arc<Env>,
-    check_certificates: bool,
-}
-
-/// One kernel of a [`SessionBatch`].
-#[derive(Debug, Clone)]
-pub struct BatchItem {
-    /// Program name (for reports and events).
-    pub name: String,
-    /// Kernel source text.
-    pub source: String,
-}
-
-impl SessionBatch {
-    /// A batch with a fresh shared [`Env`].
-    pub fn new(config: SessionConfig) -> Result<SessionBatch, SessionError> {
-        Ok(SessionBatch {
-            env: Arc::new(Env::new(&config)?),
-            check_certificates: true,
-        })
-    }
-
-    /// A batch over an existing shared [`Env`].
-    pub fn with_env(env: Arc<Env>) -> SessionBatch {
-        SessionBatch {
-            env,
-            check_certificates: true,
-        }
-    }
-
-    /// The shared state.
-    pub fn env(&self) -> &Arc<Env> {
-        &self.env
-    }
-
-    /// Disables independent-checker validation of fresh certificates.
-    pub fn without_certificate_checks(mut self) -> SessionBatch {
-        self.check_certificates = false;
-        self
-    }
-
-    /// Verifies every kernel, fanning them out over the env's job pool.
-    /// Results are in input order; each kernel gets its own
-    /// [`SessionReport`] (or [`SessionError`]), and all sessions emit
-    /// into the same sink.
-    pub fn verify(
-        &self,
-        items: &[BatchItem],
-        sink: &dyn Instrument,
-    ) -> Vec<Result<SessionReport, SessionError>> {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        use std::sync::OnceLock;
-
-        type Slot = OnceLock<Result<SessionReport, SessionError>>;
-        let slots: Vec<Slot> = (0..items.len()).map(|_| OnceLock::new()).collect();
-        let next = AtomicUsize::new(0);
-        let workers = self.env.jobs.min(items.len()).max(1);
-        let run_one = |item: &BatchItem| {
-            let mut session = VerifySession::with_env(self.env.clone());
-            session.check_certificates = self.check_certificates;
-            session.verify_source(&item.name, &item.source, sink)
-        };
-        if workers > 1 {
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(|| loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(item) = items.get(i) else { break };
-                        let _ = slots[i].set(run_one(item));
-                    });
-                }
-            });
-        } else {
-            for (i, item) in items.iter().enumerate() {
-                let _ = slots[i].set(run_one(item));
-            }
-        }
-        slots
-            .into_iter()
-            .map(|slot| slot.into_inner().expect("every batch slot filled"))
-            .collect()
     }
 }
 
@@ -1032,7 +816,7 @@ fn ms_since(start: Instant) -> f64 {
 }
 
 /// Session-scoped cache counters: the difference between two snapshots of
-/// a long-lived (batch-shared) cache. Entry counts report the live table
+/// a long-lived (env-shared) cache. Entry counts report the live table
 /// size, not a delta.
 fn cache_delta(before: &CacheStats, after: &CacheStats) -> CacheStats {
     CacheStats {

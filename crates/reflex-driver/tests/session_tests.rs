@@ -1,10 +1,11 @@
 //! Integration tests for the `VerifySession` pipeline engine: budget
 //! expiry, event-count determinism across worker counts, in-memory watch
-//! reuse, and batch verification.
+//! reuse, and many sessions over one shared env.
+
+use std::sync::Arc;
 
 use reflex_driver::{
-    BatchItem, Event, MemorySink, NullSink, PropertyStatus, SessionBatch, SessionConfig,
-    VerifySession, WatchSession,
+    Env, Event, MemorySink, NullSink, PropertyStatus, SessionConfig, VerifySession, WatchSession,
 };
 use reflex_verify::ProverOptions;
 
@@ -25,7 +26,6 @@ fn expired_wall_clock_budget_reports_timeout_for_every_property() {
     let sink = MemorySink::new();
     let report = session(SessionConfig {
         options: ProverOptions::default(),
-        jobs: 1,
         budget_ms: Some(0),
         ..SessionConfig::default()
     })
@@ -67,8 +67,10 @@ fn expired_wall_clock_budget_reports_timeout_for_every_property() {
 fn tiny_node_budget_reports_timeouts_not_hangs() {
     let ssh = checked("ssh", reflex_kernels::ssh::SOURCE);
     let report = session(SessionConfig {
-        options: ProverOptions::default(),
-        jobs: 2,
+        options: ProverOptions {
+            jobs: 2,
+            ..ProverOptions::default()
+        },
         budget_nodes: Some(1),
         ..SessionConfig::default()
     })
@@ -93,8 +95,10 @@ fn event_counts_and_certificates_match_across_job_counts() {
     let run = |jobs: usize| {
         let sink = MemorySink::new();
         let report = session(SessionConfig {
-            options: ProverOptions::default(),
-            jobs,
+            options: ProverOptions {
+                jobs,
+                ..ProverOptions::default()
+            },
             ..SessionConfig::default()
         })
         .verify_checked(&car, &sink)
@@ -148,7 +152,6 @@ fn watch_session_reuses_certificates_across_iterations() {
     let car = checked("car", reflex_kernels::car::SOURCE);
     let mut watch = WatchSession::new(SessionConfig {
         options: ProverOptions::default(),
-        jobs: 1,
         ..SessionConfig::default()
     })
     .expect("watch session opens");
@@ -167,33 +170,37 @@ fn watch_session_reuses_certificates_across_iterations() {
     );
 }
 
-/// A batch verifies distinct kernels concurrently, one report each, in
-/// input order — and the per-program cache namespacing keeps their
-/// packages from cross-contaminating.
+/// Sessions over one shared env verify distinct kernels, one report
+/// each — and the per-program cache namespacing keeps their packages from
+/// cross-contaminating: every certificate matches a fresh env's.
 #[test]
-fn batch_verifies_many_kernels_in_input_order() {
-    let batch = SessionBatch::new(SessionConfig {
-        options: ProverOptions::default(),
-        jobs: 4,
-        ..SessionConfig::default()
-    })
-    .expect("batch opens");
-    let items = vec![
-        BatchItem {
-            name: "car".to_owned(),
-            source: reflex_kernels::car::SOURCE.to_owned(),
-        },
-        BatchItem {
-            name: "ssh".to_owned(),
-            source: reflex_kernels::ssh::SOURCE.to_owned(),
-        },
-    ];
-    let reports = batch.verify(&items, &NullSink);
-    assert_eq!(reports.len(), 2);
-    for (item, report) in items.iter().zip(&reports) {
-        let report = report.as_ref().expect("kernel verifies");
-        assert_eq!(report.program, item.name);
-        assert_eq!(report.failures(), 0, "{}: {}", item.name, report.summary());
+fn sessions_over_one_env_verify_many_kernels() {
+    let env = Arc::new(
+        Env::new(&SessionConfig {
+            options: ProverOptions {
+                jobs: 4,
+                ..ProverOptions::default()
+            },
+            ..SessionConfig::default()
+        })
+        .expect("env opens"),
+    );
+    for (name, source) in [
+        ("car", reflex_kernels::car::SOURCE),
+        ("ssh", reflex_kernels::ssh::SOURCE),
+        ("car", reflex_kernels::car::SOURCE),
+    ] {
+        let report = VerifySession::with_env(Arc::clone(&env))
+            .verify_source(name, source, &NullSink)
+            .expect("kernel verifies");
+        assert_eq!(report.program, name);
+        assert_eq!(report.failures(), 0, "{name}: {}", report.summary());
+        let fresh = session(SessionConfig::default())
+            .verify_source(name, source, &NullSink)
+            .expect("kernel verifies");
+        for ((n, shared), (_, alone)) in report.outcomes.iter().zip(&fresh.outcomes) {
+            assert_eq!(shared.certificate(), alone.certificate(), "{name}::{n}");
+        }
     }
 }
 
@@ -204,7 +211,6 @@ fn unknown_property_filter_is_an_error() {
     let car = checked("car", reflex_kernels::car::SOURCE);
     let err = session(SessionConfig {
         options: ProverOptions::default(),
-        jobs: 1,
         property: Some("NoSuchThing".to_owned()),
         ..SessionConfig::default()
     })
@@ -233,7 +239,6 @@ fn watch_session_degrades_and_recovers_on_store_failure() {
 
     let mut watch = WatchSession::new(SessionConfig {
         options: ProverOptions::default(),
-        jobs: 1,
         store_dir: Some(dir.to_string_lossy().into_owned()),
         store_fs: Some(Arc::new(fs.clone()) as Arc<dyn VerifyFs>),
         ..SessionConfig::default()
@@ -305,9 +310,9 @@ fn injected_panic_is_isolated_and_deterministic_across_job_counts() {
         let report = session(SessionConfig {
             options: ProverOptions {
                 panic_on: Some(VICTIM.to_owned()),
+                jobs,
                 ..ProverOptions::default()
             },
-            jobs,
             ..SessionConfig::default()
         })
         .verify_checked(&car, &sink)
@@ -375,5 +380,140 @@ fn injected_panic_is_isolated_and_deterministic_across_job_counts() {
             })
             .count();
         assert_eq!(crashed, 1);
+    }
+}
+
+/// The `✓` lines of a report's property listing.
+fn proved_lines(report: &reflex_driver::SessionReport) -> Vec<String> {
+    report
+        .render_properties()
+        .lines()
+        .filter(|l| l.contains('✓'))
+        .map(str::to_owned)
+        .collect()
+}
+
+/// Every certificate a session returns passed the independent checker in
+/// this run — store re-proves included, even for a caller that opted out
+/// — except full reuses of an in-process previous run; each property's
+/// label says which happened.
+#[test]
+fn labels_state_which_certificates_were_checked() {
+    let car = checked("car", reflex_kernels::car::SOURCE);
+    let dir = std::env::temp_dir().join(format!("rx-check-labels-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store_run = || {
+        session(SessionConfig {
+            store_dir: Some(dir.to_string_lossy().into_owned()),
+            ..SessionConfig::default()
+        })
+        .without_certificate_checks()
+        .verify_checked(&car, &NullSink)
+        .expect("store session verifies")
+    };
+    let storeless = |checks: bool| {
+        let s = session(SessionConfig::default());
+        let s = if checks {
+            s
+        } else {
+            s.without_certificate_checks()
+        };
+        s.verify_checked(&car, &NullSink).expect("car verifies")
+    };
+
+    // A cold store run re-proves everything and checks every certificate:
+    // it issues exactly the solver queries of a checked storeless run,
+    // and more than an unchecked one.
+    let cold = store_run();
+    let checked_run = storeless(true);
+    let unchecked_run = storeless(false);
+    assert!(cold.certificates_checked);
+    assert_eq!(cold.stats.solver_queries, checked_run.stats.solver_queries);
+    assert!(cold.stats.solver_queries > unchecked_run.stats.solver_queries);
+    assert!(proved_lines(&cold)
+        .iter()
+        .all(|l| l.ends_with(", certificate checked)")));
+    assert!(proved_lines(&unchecked_run)
+        .iter()
+        .all(|l| !l.contains("checked")));
+
+    // A warm store run reuses every certificate after re-checking it.
+    let warm = store_run();
+    assert_eq!(warm.reused.len(), warm.outcomes.len());
+    assert!(proved_lines(&warm)
+        .iter()
+        .all(|l| l.ends_with(", reused from store, re-checked)")));
+
+    // The in-memory watch loop returns its previous certificates as they
+    // were, and says so.
+    let mut watch = WatchSession::new(SessionConfig::default()).expect("watch opens");
+    watch.verify(&car, &NullSink).expect("first iteration");
+    let second = watch.verify(&car, &NullSink).expect("second iteration");
+    assert_eq!(second.report.reused.len(), second.report.outcomes.len());
+    assert!(proved_lines(&second.report)
+        .iter()
+        .all(|l| l.ends_with(", reused from the previous run)")));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A seeded panic plan that crashes some of car's properties — one of
+/// them inside a whole-property (`Enables`/`Disables`) obligation on the
+/// pool — leaves exactly those properties `Crashed` at one and at four
+/// workers; every other property proves with its clean-run certificate.
+#[test]
+fn panic_plan_crashes_only_its_victims_at_one_and_four_workers() {
+    use reflex_ast::{PropBody, TracePropKind};
+    use reflex_verify::PanicPlan;
+
+    let car = checked("car", reflex_kernels::car::SOURCE);
+    let props = &car.program().properties;
+    let whole_obligation = |name: &str| {
+        props.iter().any(|p| {
+            p.name == name
+                && matches!(&p.body, PropBody::Trace(tp)
+                    if matches!(tp.kind, TracePropKind::Enables | TracePropKind::Disables))
+        })
+    };
+    // The first seed whose plan crashes some, but not all, properties,
+    // including one whole-property obligation.
+    let (seed, victims) = (0..10_000u64)
+        .find_map(|seed| {
+            let plan = PanicPlan::seeded(seed, 300_000);
+            let victims: Vec<String> = props
+                .iter()
+                .map(|p| p.name.clone())
+                .filter(|n| plan.should_panic(n))
+                .collect();
+            (victims.len() < props.len() && victims.iter().any(|v| whole_obligation(v)))
+                .then_some((seed, victims))
+        })
+        .expect("some seed crashes a whole-property obligation");
+
+    let clean = session(SessionConfig::default())
+        .verify_checked(&car, &NullSink)
+        .expect("car verifies");
+    for jobs in [1, 4] {
+        let report = session(SessionConfig {
+            options: ProverOptions {
+                panic_plan: Some(std::sync::Arc::new(PanicPlan::seeded(seed, 300_000))),
+                jobs,
+                ..ProverOptions::default()
+            },
+            ..SessionConfig::default()
+        })
+        .verify_checked(&car, &NullSink)
+        .expect("the session survives the crashes");
+        for ((name, outcome), (_, expected)) in report.outcomes.iter().zip(&clean.outcomes) {
+            if victims.contains(name) {
+                assert!(outcome.is_crashed(), "jobs {jobs}: {name} must crash");
+            } else {
+                assert_eq!(
+                    outcome.certificate(),
+                    expected.certificate(),
+                    "jobs {jobs}: {name} must prove exactly as in a clean run"
+                );
+            }
+        }
+        assert_eq!(report.crashes(), victims.len(), "jobs {jobs}");
     }
 }

@@ -28,7 +28,6 @@ fn virtual_clock_budget_times_out_the_same_property_set_every_run() {
     let run = || {
         let report = session(SessionConfig {
             options: ProverOptions::default(),
-            jobs: 1,
             budget_ms: Some(1),
             // 50µs per budget poll: a 1ms budget allows ~20 explored
             // paths before the simulated deadline passes.
@@ -64,7 +63,6 @@ fn degrade_and_reattach(fs: &FaultyFs, dir: &std::path::Path) {
     let car = checked("car", reflex_kernels::car::SOURCE);
     let mut watch = WatchSession::new(SessionConfig {
         options: ProverOptions::default(),
-        jobs: 1,
         store_dir: Some(dir.to_string_lossy().into_owned()),
         store_fs: Some(Arc::new(fs.clone()) as Arc<dyn VerifyFs>),
         ..SessionConfig::default()

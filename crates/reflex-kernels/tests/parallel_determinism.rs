@@ -3,13 +3,40 @@
 //!
 //! The design claim (see `reflex-verify`'s `cache.rs`): because cached
 //! subproofs are self-contained packages that are pure functions of their
-//! keys, `prove_all`, `prove_all_parallel(jobs = 1)` and
-//! `prove_all_parallel(jobs = N)` produce *identical* outcomes — not just
-//! the same proved/failed statuses, but equal certificates and equal
-//! failure messages — on every bundled kernel. These tests pin that claim.
+//! keys, the property-at-a-time prover and the obligation engine at any
+//! pool width produce *identical* outcomes — not just the same
+//! proved/failed statuses, but equal certificates and equal failure
+//! messages — on every bundled kernel. These tests pin that claim.
 
 use reflex_kernels::all_benchmarks;
-use reflex_verify::{check_certificate, prove_all, prove_all_parallel, Outcome, ProverOptions};
+use reflex_typeck::CheckedProgram;
+use reflex_verify::{
+    check_certificate, prove_all, prove_with_cache, reverify_core, Abstraction, Outcome,
+    ProofCache, ProverOptions, VerifyRun,
+};
+
+/// Every property proved whole, one after another, over one shared cache
+/// — the reference the engine's obligation split must reproduce.
+fn property_at_a_time(checked: &CheckedProgram, options: &ProverOptions) -> Vec<(String, Outcome)> {
+    let abs = Abstraction::build(checked, options);
+    let cache = ProofCache::new();
+    checked
+        .program()
+        .properties
+        .iter()
+        .map(|p| {
+            let outcome = prove_with_cache(&abs, &p.name, options, Some(&cache)).expect("exists");
+            (p.name.clone(), outcome)
+        })
+        .collect()
+}
+
+fn with_jobs(jobs: usize) -> ProverOptions {
+    ProverOptions {
+        jobs,
+        ..ProverOptions::default()
+    }
+}
 
 /// Asserts two outcome lists are fully identical (names, certificates,
 /// failures).
@@ -42,11 +69,11 @@ fn parallel_prover_is_outcome_identical_on_every_kernel() {
     let options = ProverOptions::default();
     for bench in all_benchmarks() {
         let checked = (bench.checked)();
-        let serial = prove_all(&checked, &options);
-        let par1 = prove_all_parallel(&checked, &options, 1);
-        let par4 = prove_all_parallel(&checked, &options, 4);
-        assert_outcomes_identical(bench.name, "serial vs jobs=1", &serial, &par1);
-        assert_outcomes_identical(bench.name, "serial vs jobs=4", &serial, &par4);
+        let serial = property_at_a_time(&checked, &options);
+        let par1 = prove_all(&checked, &with_jobs(1));
+        let par4 = prove_all(&checked, &with_jobs(4));
+        assert_outcomes_identical(bench.name, "whole vs jobs=1", &serial, &par1);
+        assert_outcomes_identical(bench.name, "whole vs jobs=4", &serial, &par4);
         // Soundness backstop: every certificate from the parallel,
         // shared-cache run passes the independent checker.
         for (name, outcome) in &par4 {
@@ -60,19 +87,29 @@ fn parallel_prover_is_outcome_identical_on_every_kernel() {
 }
 
 #[test]
-fn in_prover_case_parallelism_is_outcome_identical() {
-    // `jobs` also parallelizes the inductive cases inside one property
-    // proof; certificates must not depend on it.
-    let serial = ProverOptions::default();
-    let threaded = ProverOptions {
-        jobs: 4,
-        ..ProverOptions::default()
-    };
+fn single_property_runs_split_cases_over_a_four_worker_pool() {
+    // A run restricted to one property still spreads that property's
+    // inductive cases over the pool; certificates must not depend on it.
     for bench in all_benchmarks() {
         let checked = (bench.checked)();
-        let a = prove_all(&checked, &serial);
-        let b = prove_all(&checked, &threaded);
-        assert_outcomes_identical(bench.name, "jobs=1 vs jobs=4 (in-prover)", &a, &b);
+        let whole = property_at_a_time(&checked, &ProverOptions::default());
+        for (name, expected) in &whole {
+            let run = |jobs: usize| {
+                reverify_core(
+                    &checked,
+                    &with_jobs(jobs),
+                    VerifyRun {
+                        property: Some(name),
+                        ..VerifyRun::default()
+                    },
+                )
+                .expect("the property exists")
+                .outcomes
+            };
+            let expected = [(name.clone(), expected.clone())];
+            assert_outcomes_identical(bench.name, "one property, jobs=1", &expected, &run(1));
+            assert_outcomes_identical(bench.name, "one property, jobs=4", &expected, &run(4));
+        }
     }
 }
 

@@ -50,7 +50,8 @@ pub struct ServiceConfig {
     /// Filesystem the store runs on (`None`: the real one; the
     /// simulator injects a faulty one).
     pub store_fs: Option<Arc<dyn reflex_verify::vfs::VerifyFs>>,
-    /// Prover worker threads *per request* (0: one per CPU).
+    /// Proof threads *per request* — the width of the request's
+    /// obligation pool, in total (0: one per CPU).
     pub jobs: usize,
     /// Concurrent request executors (0: one per CPU). Sim scenarios use
     /// 1 so the round-robin pick order is deterministic.
@@ -420,7 +421,6 @@ impl ServiceCore {
                 jobs: config.jobs,
                 ..ProverOptions::default()
             },
-            jobs: config.jobs,
             store_dir: config.store_dir.clone(),
             store_fs: config.store_fs.clone(),
             clock: config.clock.clone(),

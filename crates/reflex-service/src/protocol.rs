@@ -27,10 +27,9 @@
 use std::fmt;
 use std::io::{Read, Write};
 
-use reflex_driver::SessionReport;
+use reflex_driver::{PropStats, ProverStats, SessionReport};
 use reflex_verify::{
-    certificate_from_bytes, certificate_to_bytes, CacheStats, Outcome, ProofFailure, PropStats,
-    ProverStats,
+    certificate_from_bytes, certificate_to_bytes, CacheStats, Outcome, ProofFailure,
 };
 
 /// Protocol magic, first field of the [`HELLO`] payload (`"RXD1"`).

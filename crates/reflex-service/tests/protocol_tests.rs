@@ -185,7 +185,6 @@ fn stats_error_and_hello_payloads_roundtrip() {
 #[test]
 fn verify_reply_roundtrips_with_certificates() {
     let report = VerifySession::new(SessionConfig {
-        jobs: 1,
         ..SessionConfig::default()
     })
     .expect("session opens")
@@ -294,7 +293,6 @@ proptest! {
 #[test]
 fn report_codec_and_reply_wrapper_agree() {
     let report = VerifySession::new(SessionConfig {
-        jobs: 1,
         ..SessionConfig::default()
     })
     .expect("session opens")

@@ -7,8 +7,8 @@
 use std::collections::BTreeMap;
 use std::io::{Read as _, Write as _};
 use std::net::TcpStream;
-use std::sync::atomic::Ordering;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Barrier, Condvar, Mutex};
 
 use reflex_driver::{Event, Instrument, NullSink, SessionConfig, VerifySession};
 use reflex_kernels::car;
@@ -68,10 +68,14 @@ fn single_worker_core(config: ServiceConfig) -> ServiceCore {
 }
 
 fn car_verify() -> Request {
+    verify_request("car", car::SOURCE, None)
+}
+
+fn verify_request(name: &str, source: &str, property: Option<&str>) -> Request {
     Request::Verify {
-        name: "car".into(),
-        source: car::SOURCE.to_owned(),
-        property: None,
+        name: name.into(),
+        source: source.to_owned(),
+        property: property.map(str::to_owned),
         budget_ms: None,
         budget_nodes: None,
         want_events: false,
@@ -231,7 +235,6 @@ fn shutdown_drains_queued_requests() {
 
 fn baseline_certificates() -> BTreeMap<String, Vec<u8>> {
     let report = VerifySession::new(SessionConfig {
-        jobs: 1,
         ..SessionConfig::default()
     })
     .expect("session opens")
@@ -906,4 +909,104 @@ fn a_retried_verify_is_deduplicated_across_reconnects() {
     handle.stop();
     core.shutdown();
     let _ = std::fs::remove_file(&socket);
+}
+
+/// With a store attached, a single-property verify proves, returns and
+/// persists that property alone — and a repeat reuses exactly it.
+#[test]
+fn a_store_verify_of_one_property_returns_and_persists_only_it() {
+    const PROP: &str = "NoLockAfterCrash";
+    let dir = std::env::temp_dir().join(format!("rxd-test-prop-store-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let core = single_worker_core(ServiceConfig {
+        store_dir: Some(dir.to_string_lossy().into_owned()),
+        ..ServiceConfig::default()
+    });
+    let verify = || match core.request(
+        0,
+        verify_request("car", car::SOURCE, Some(PROP)),
+        Arc::new(NullSink),
+    ) {
+        Ok(Reply::Verify(report)) => report,
+        other => panic!("expected a verify reply, got {other:?}"),
+    };
+    let first = verify();
+    assert_eq!(first.outcomes.len(), 1, "{}", first.render_properties());
+    assert_eq!(first.outcomes[0].0, PROP);
+    assert!(first.outcomes[0].1.is_proved());
+    assert_eq!(first.store_saved, 1, "exactly one certificate is persisted");
+
+    let again = verify();
+    assert_eq!(again.outcomes.len(), 1);
+    assert_eq!(again.reused, vec![PROP.to_owned()]);
+    assert_eq!(again.store_loaded, 1);
+    core.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Parks each session at its first event until both have started, so
+/// the two are guaranteed to overlap.
+struct BarrierSink {
+    barrier: Arc<Barrier>,
+    entered: AtomicBool,
+}
+
+impl Instrument for BarrierSink {
+    fn event(&self, _event: &Event) {
+        if !self.entered.swap(true, Ordering::SeqCst) {
+            self.barrier.wait();
+        }
+    }
+}
+
+/// Counters belong to the request that caused them: two sessions
+/// overlapping on a 2-worker core each report exactly the paths and
+/// solver queries they report when run alone.
+#[test]
+fn overlapping_sessions_count_only_their_own_work() {
+    let kernels = [("car", car::SOURCE), ("ssh", reflex_kernels::ssh::SOURCE)];
+    let counters = |reply: Result<Reply, ServiceError>| match reply {
+        Ok(Reply::Verify(report)) => (report.stats.paths_explored, report.stats.solver_queries),
+        other => panic!("expected a verify reply, got {other:?}"),
+    };
+    let alone: Vec<(u64, u64)> = kernels
+        .iter()
+        .map(|(name, source)| {
+            let core = single_worker_core(ServiceConfig::default());
+            let c =
+                counters(core.request(0, verify_request(name, source, None), Arc::new(NullSink)));
+            core.shutdown();
+            c
+        })
+        .collect();
+
+    let core = ServiceCore::start(ServiceConfig {
+        jobs: 1,
+        workers: 2,
+        ..ServiceConfig::default()
+    })
+    .expect("core starts");
+    let barrier = Arc::new(Barrier::new(kernels.len()));
+    let tickets: Vec<_> = kernels
+        .iter()
+        .zip(0u64..)
+        .map(|((name, source), client)| {
+            let sink = BarrierSink {
+                barrier: Arc::clone(&barrier),
+                entered: AtomicBool::new(false),
+            };
+            core.submit(
+                client,
+                client + 1,
+                verify_request(name, source, None),
+                Arc::new(sink),
+            )
+            .expect("submits")
+        })
+        .collect();
+    let together: Vec<(u64, u64)> = tickets.iter().map(|t| counters(t.wait())).collect();
+    core.shutdown();
+
+    assert!(alone.iter().all(|(paths, _)| *paths > 0));
+    assert_eq!(together, alone);
 }

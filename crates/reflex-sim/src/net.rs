@@ -299,12 +299,9 @@ fn kernel_and_baseline(
     let gen = reflex_kernels::synth::SynthConfig::preset("small", config.stream_seed("kernel"))
         .expect("the small preset exists");
     let kernel = reflex_kernels::synth::generate_variant(&gen, 0);
-    let report = VerifySession::new(SessionConfig {
-        jobs: 1,
-        ..SessionConfig::default()
-    })
-    .and_then(|s| s.verify_checked(&kernel.checked(), &NullSink))
-    .map_err(|e| format!("clean baseline failed: {e}"))?;
+    let report = VerifySession::new(SessionConfig::default())
+        .and_then(|s| s.verify_checked(&kernel.checked(), &NullSink))
+        .map_err(|e| format!("clean baseline failed: {e}"))?;
     let baseline = report
         .outcomes
         .iter()

@@ -36,7 +36,6 @@ fn certs_of(report: &SessionReport) -> Vec<(String, Certificate)> {
 fn session_config(_config: &SimConfig, dir: Option<&std::path::Path>) -> SessionConfig {
     SessionConfig {
         options: ProverOptions::default(),
-        jobs: 1,
         store_dir: dir.map(|d| d.to_string_lossy().into_owned()),
         clock: Some(Arc::new(VirtualClock::new(1_000))),
         ..SessionConfig::default()

@@ -67,5 +67,5 @@ pub use memo::{
     clear_entailment_memo, entailment_memo_stats, reset_entailment_memo_stats, EntailmentMemoStats,
 };
 pub use solver::Solver;
-pub use stats::{current_session_stats, with_session_stats, SymSessionStats};
+pub use stats::{current_session_stats, note_path, with_session_stats, SymSessionStats};
 pub use term::{SymCtx, SymKind, SymVar, Term};

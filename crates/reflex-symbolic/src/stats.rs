@@ -31,6 +31,9 @@ pub struct SymSessionStats {
     pub memo_queries: AtomicU64,
     /// Queries answered from the entailment memo.
     pub memo_hits: AtomicU64,
+    /// Symbolic path segments the provers (and the checker's
+    /// re-derivations) analyzed.
+    pub paths_explored: AtomicU64,
 }
 
 impl SymSessionStats {
@@ -57,6 +60,11 @@ impl SymSessionStats {
     /// Entailment memo hits so far.
     pub fn memo_hits(&self) -> u64 {
         self.memo_hits.load(Ordering::Relaxed)
+    }
+
+    /// Path segments analyzed so far.
+    pub fn paths_explored(&self) -> u64 {
+        self.paths_explored.load(Ordering::Relaxed)
     }
 }
 
@@ -109,6 +117,12 @@ pub(crate) fn note_memo_query() {
 
 pub(crate) fn note_memo_hit() {
     bump(|s| &s.memo_hits);
+}
+
+/// Records one analyzed symbolic path segment against the innermost
+/// scoped session (nothing is counted outside a scope).
+pub fn note_path() {
+    bump(|s| &s.paths_explored);
 }
 
 #[cfg(test)]

@@ -3,7 +3,7 @@
 //! A [`ProofBudget`] bounds one verification session by wall-clock time
 //! and/or explored-path count, and doubles as a cancellation token. The
 //! provers poll it at every path they explore (the same cadence as
-//! [`crate::stats`]'s path counter), so a stuck property degrades to a
+//! the session's path counter), so a stuck property degrades to a
 //! reported [`crate::Outcome::Timeout`] instead of hanging the batch.
 //!
 //! The checks are *cooperative*: nothing is interrupted mid-obligation.
@@ -167,7 +167,7 @@ pub(crate) fn tick_path(
     options: &crate::ProverOptions,
     location: &str,
 ) -> Result<(), crate::ProofFailure> {
-    crate::stats::note_path();
+    reflex_symbolic::note_path();
     if let Some(budget) = &options.budget {
         if let Err(why) = budget.tick() {
             return Err(crate::ProofFailure {

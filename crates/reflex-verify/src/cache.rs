@@ -5,8 +5,8 @@
 //! auxiliary invariants (monotone-counter guards, spawn-origin lemmas) for
 //! property after property. This module lifts both caches out of the
 //! per-property prover state into one concurrency-safe table shared by
-//! every property of a program — including properties proved on different
-//! threads by [`crate::prove_all_parallel`].
+//! every property of a program — including properties whose obligations
+//! run on different pool workers of [`crate::reverify_core`].
 //!
 //! # Determinism by purity
 //!
@@ -23,7 +23,7 @@
 //! the options, and its key, it is a **pure function of the key**: a cache
 //! hit returns byte-for-byte what a fresh computation would have produced.
 //! Thread timing decides only *who pays* for a package, never its value —
-//! which is how `prove_all_parallel` can share work across racing
+//! which is how the engine's pool can share work across racing
 //! properties and still emit certificates identical to the serial run's.
 //! (Two threads may both miss and compute the same package concurrently;
 //! the first insert wins and the duplicates are equal, so even that race
@@ -145,10 +145,9 @@ where
 
 /// Concurrency-safe cross-property cache of invariant and lemma proofs.
 ///
-/// Create one per program (or per [`crate::prove_all`] /
-/// [`crate::prove_all_parallel`] run) and pass it to
-/// [`crate::prove_with_cache`]; see the module docs for the determinism
-/// and soundness arguments.
+/// Create one per program (or per [`crate::reverify_core`] run) and pass
+/// it to [`crate::prove_with_cache`]; see the module docs for the
+/// determinism and soundness arguments.
 #[derive(Default)]
 pub struct ProofCache {
     invariants: Sharded<SharedInvKey, InvariantPackage>,

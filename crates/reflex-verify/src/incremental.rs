@@ -27,15 +27,23 @@
 //! trustworthy as the original run's; certificates loaded from unreliable
 //! media (the on-disk proof store) are additionally re-validated through
 //! [`crate::check_certificate`] before being trusted at all.
+//!
+//! The ladder is also the one verification engine: [`reverify_core`]
+//! plans every run (a run without previous certificates plans every
+//! property as a re-prove), splits the re-proves into obligations and is
+//! the only code that fans proof work out onto the pool.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Mutex;
+use std::time::Instant;
 
-use reflex_ast::{Fp, PropBody};
+use reflex_ast::{Fp, PropBody, PropertyDecl};
 use reflex_typeck::CheckedProgram;
 
 use crate::cache::ProofCache;
 use crate::certificate::{Certificate, DepSet};
-use crate::options::{Outcome, ProverOptions, VerifyError};
+use crate::oblig;
+use crate::options::{catch_crash, Outcome, ProverOptions, VerifyError};
 use crate::shared::case_can_emit_match;
 use crate::Abstraction;
 
@@ -203,7 +211,10 @@ impl<'c> DepGraph<'c> {
 /// `previous` pairs property names with the certificates obtained from a
 /// successful [`crate::prove_all`] (or earlier `reverify`) run under the
 /// *same* [`ProverOptions`]; mixing configurations is detected by the
-/// proof store but is the caller's responsibility here.
+/// proof store but is the caller's responsibility here. The re-proving
+/// work runs on [`ProverOptions::jobs`] pool workers; every job count
+/// schedules from the *same* dirty-set plan, so outcomes, certificates and
+/// report classifications are byte-identical for every value.
 ///
 /// Outcomes are byte-identical to a from-scratch [`crate::prove_all`] over
 /// `new` — full reuse only triggers when everything the proof consulted is
@@ -220,36 +231,26 @@ pub fn reverify(
     new: &CheckedProgram,
     options: &ProverOptions,
 ) -> Result<IncrementalReport, VerifyError> {
-    reverify_jobs(previous, new, options, 1)
+    reverify_core(
+        new,
+        options,
+        VerifyRun {
+            previous,
+            ..VerifyRun::default()
+        },
+    )
 }
 
-/// [`reverify`] with the re-proving work fanned out over `jobs` worker
-/// threads (`0`: one per available CPU).
+/// [`reverify`] on `jobs` pool workers (`0`: one per available CPU,
+/// overriding [`ProverOptions::jobs`]), with a per-property
+/// [`PropObserver`] invoked as each outcome is decided, and an explicit
+/// trust decision for `previous`.
 ///
-/// The parallel path schedules from the *same* dirty-set plan as the
-/// serial one and shares one [`ProofCache`], so outcomes, certificates and
-/// report classifications are byte-identical for every `jobs` value (the
-/// same guarantee [`crate::prove_all_parallel`] makes).
-pub fn reverify_jobs(
-    previous: &[(String, Certificate)],
-    new: &CheckedProgram,
-    options: &ProverOptions,
-    jobs: usize,
-) -> Result<IncrementalReport, VerifyError> {
-    // In-memory certificates are exactly as trustworthy as the run that
-    // produced them, so reuse does not re-run the checker.
-    reverify_core(previous, new, options, jobs, false, None)
-}
-
-/// [`reverify_jobs`] with a per-property [`PropObserver`] invoked as each
-/// outcome is decided, and an explicit trust decision for `previous`.
-///
-/// With `validate` set, every reused or spliced certificate must pass
-/// [`crate::check_certificate`] against `new` before it is reported
-/// (rejects fall back to a re-prove) — required when `previous` came from
-/// unreliable media like the on-disk proof store. Leave it unset for
-/// certificates produced in this process. This is the session engine's
-/// entry point; `(false, None)` is exactly [`reverify_jobs`].
+/// With `validate` set, every certificate the run returns — reused,
+/// spliced or fresh — passes [`crate::check_certificate`] against `new`
+/// first ([`Checks::All`]): required when `previous` came from unreliable
+/// media like the on-disk proof store. Leave it unset for certificates
+/// produced in this process.
 pub fn reverify_observed(
     previous: &[(String, Certificate)],
     new: &CheckedProgram,
@@ -258,7 +259,24 @@ pub fn reverify_observed(
     validate: bool,
     observer: Option<PropObserver<'_>>,
 ) -> Result<IncrementalReport, VerifyError> {
-    reverify_core(previous, new, options, jobs, validate, observer)
+    reverify_core(
+        new,
+        &with_jobs(options, jobs),
+        VerifyRun {
+            previous,
+            checks: if validate { Checks::All } else { Checks::None },
+            observer,
+            ..VerifyRun::default()
+        },
+    )
+}
+
+/// `options` with the pool width replaced.
+pub(crate) fn with_jobs(options: &ProverOptions, jobs: usize) -> ProverOptions {
+    ProverOptions {
+        jobs,
+        ..options.clone()
+    }
 }
 
 /// How a property's outcome was actually obtained (the plan, demoted to
@@ -290,123 +308,371 @@ impl Reuse {
 /// threads, in completion (not declaration) order.
 pub type PropObserver<'a> = &'a (dyn Fn(&str, Reuse, &Outcome, f64) + Sync);
 
-/// The engine behind [`reverify_jobs`] and the proof store's
-/// [`crate::store::verify_with_store`].
+/// Which certificates an engine run passes through the independent
+/// checker ([`crate::check_certificate_with`]) before returning them.
 ///
-/// With `validate` set, every outcome built from previous certificates
-/// (full reuse and per-case splices) must additionally pass
-/// [`crate::check_certificate`] against `new`; rejects fall back to a
-/// from-scratch re-prove. This is the trust boundary for certificates
-/// loaded from unreliable media: a corrupt or stale entry costs a re-prove,
-/// never a wrong "Proved".
-pub(crate) fn reverify_core(
-    previous: &[(String, Certificate)],
+/// A rejected reused or spliced certificate falls back to a re-prove; a
+/// rejected fresh certificate is a prover bug and fails the run with
+/// [`VerifyError::CertificateRejected`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum Checks {
+    /// Check nothing.
+    #[default]
+    None,
+    /// Check every certificate this run produced (fresh proofs and
+    /// per-case splices), but return full reuses of `previous` as they
+    /// are: they come from an earlier run in this process.
+    Produced,
+    /// Check everything, full reuses included: `previous` came from
+    /// unreliable media such as the proof store.
+    All,
+}
+
+/// One engine run's inputs beyond the program and the options.
+#[derive(Clone, Copy, Default)]
+pub struct VerifyRun<'a> {
+    /// Certificates of an earlier run, planned onto the reuse ladder.
+    pub previous: &'a [(String, Certificate)],
+    /// Verify only this property (every property when `None`).
+    pub property: Option<&'a str>,
+    /// Cross-property proof cache; `None` gives the run a fresh one.
+    pub cache: Option<&'a ProofCache>,
+    /// Which certificates are checked before they are returned.
+    pub checks: Checks,
+    /// Called as each property's outcome is decided.
+    pub observer: Option<PropObserver<'a>>,
+}
+
+/// The verification engine: the one place proof work fans out.
+///
+/// Every requested property is planned onto the reuse ladder (all plans
+/// are [`ReusePlan::Reprove`] when `run.previous` is empty). `Reprove`
+/// plans split into their obligations (`oblig.rs`); `Full`/`Partial`
+/// plans and whole properties (`Enables`/`Disables`) are single units.
+/// The units run on the [`crate::sched`] pool with
+/// [`ProverOptions::jobs`] workers in three passes — prepare every
+/// property, discharge every obligation of every property, assemble and
+/// check every property — and results are read back in declaration
+/// order, so outcomes and certificates are identical for every job count.
+///
+/// At one worker the engine instead finishes one property (including its
+/// check) before preparing the next, in declaration order, and stops a
+/// trace property at its first failing case — the order of budget ticks
+/// (and so the `Outcome::Timeout` set under a node or virtual-clock
+/// budget) is then exactly that of a property-at-a-time prover.
+///
+/// A panic anywhere in a property's preparation, obligations, assembly or
+/// check becomes that property's [`Outcome::Crashed`]; its siblings are
+/// unaffected.
+///
+/// # Errors
+///
+/// [`VerifyError::NoSuchProperty`] for an unknown `run.property`,
+/// malformed `run.previous` (see [`DepGraph::build`]), and
+/// [`VerifyError::CertificateRejected`] when a fresh certificate fails a
+/// requested check.
+pub fn reverify_core(
     new: &CheckedProgram,
     options: &ProverOptions,
-    jobs: usize,
-    validate: bool,
-    observer: Option<PropObserver<'_>>,
+    run: VerifyRun<'_>,
 ) -> Result<IncrementalReport, VerifyError> {
-    let graph = DepGraph::build(previous)?;
-    let abs = Abstraction::build(new, options);
-    let ranges = abs.ranges_fp();
-    let props = &new.program().properties;
-    let plans: Vec<(String, ReusePlan)> = props
-        .iter()
-        .map(|p| (p.name.clone(), graph.plan(&p.name, new, ranges)))
-        .collect();
-
-    let cache = ProofCache::new();
-    let shared = options.shared_cache.then_some(&cache);
-    let jobs = crate::options::resolve_jobs(jobs);
-
-    let reprove = |name: &str| -> Result<(Outcome, Reuse), VerifyError> {
-        Ok((
-            crate::prove_with_cache(&abs, name, options, shared)?,
-            Reuse::Reproved,
-        ))
+    let graph = DepGraph::build(run.previous)?;
+    let props: Vec<&PropertyDecl> = match run.property {
+        Some(name) => {
+            vec![new
+                .program()
+                .property(name)
+                .ok_or_else(|| VerifyError::NoSuchProperty {
+                    name: name.to_owned(),
+                })?]
+        }
+        None => new.program().properties.iter().collect(),
     };
-    let execute_inner = |name: &str, plan: &ReusePlan| -> Result<(Outcome, Reuse), VerifyError> {
-        match plan {
-            ReusePlan::Full => {
-                let cert = graph
-                    .certificate(name)
-                    .expect("plan is Full only when a certificate exists");
-                if validate && crate::check_certificate_with(&abs, cert, options).is_err() {
-                    return reprove(name);
-                }
-                Ok((Outcome::Proved(cert.clone()), Reuse::Full))
-            }
-            ReusePlan::Partial { dirty } => {
-                let prop = new
-                    .program()
-                    .property(name)
-                    .expect("planned properties come from the program");
-                let (PropBody::Trace(tp), Some(Certificate::Trace(prior))) =
-                    (&prop.body, graph.certificate(name))
-                else {
-                    unreachable!("plan is Partial only for trace certificates");
-                };
-                let mut outcome = crate::trace_prover::prove_trace_partial(
-                    &abs, options, prop, tp, shared, prior, dirty,
-                );
-                if let Outcome::Proved(cert) = &mut outcome {
-                    let deps = DepSet::compute(new, ranges, cert);
-                    cert.set_deps(deps);
-                }
-                if validate {
-                    if let Outcome::Proved(cert) = &outcome {
-                        if crate::check_certificate_with(&abs, cert, options).is_err() {
-                            return reprove(name);
+    let abs = Abstraction::build(new, options);
+    let plans = props
+        .into_iter()
+        .map(|p| (p, graph.plan(&p.name, new, abs.ranges_fp())))
+        .collect();
+    let own_cache;
+    let cache = match run.cache {
+        Some(cache) => cache,
+        None => {
+            own_cache = ProofCache::new();
+            &own_cache
+        }
+    };
+    let engine = Engine {
+        abs: &abs,
+        options,
+        graph: &graph,
+        cache,
+        run: &run,
+        plans,
+    };
+    let decided = match options.effective_jobs() {
+        1 => engine.run_serial(),
+        jobs => engine.run_pooled(jobs),
+    }?;
+
+    let mut report = IncrementalReport {
+        outcomes: Vec::with_capacity(decided.len()),
+        reused: Vec::new(),
+        partial: Vec::new(),
+        reproved: Vec::new(),
+    };
+    for ((prop, _), (outcome, used)) in engine.plans.iter().zip(decided) {
+        let name = prop.name.clone();
+        match used {
+            Reuse::Full => report.reused.push(name.clone()),
+            Reuse::Partial => report.partial.push(name.clone()),
+            Reuse::Reproved => report.reproved.push(name.clone()),
+        }
+        report.outcomes.push((name, outcome));
+    }
+    Ok(report)
+}
+
+/// One property's work in an engine run.
+// `Prove` is the common case and lives only for one run; boxing it would
+// cost an allocation per property for nothing.
+#[allow(clippy::large_enum_variant)]
+enum Task<'a, 'p> {
+    /// A `Reprove` plan, split into obligations.
+    Prove(oblig::Prepared<'a, 'p>),
+    /// A `Full` or `Partial` plan: one unit.
+    Reuse,
+}
+
+/// One unit's result.
+enum UnitResult {
+    Oblig(oblig::UnitOut),
+    Reused(Outcome, Reuse),
+    Crashed(Outcome),
+}
+
+struct Engine<'a, 'p> {
+    abs: &'a Abstraction<'p>,
+    options: &'a ProverOptions,
+    graph: &'a DepGraph<'a>,
+    cache: &'a ProofCache,
+    run: &'a VerifyRun<'a>,
+    plans: Vec<(&'a PropertyDecl, ReusePlan)>,
+}
+
+type Decided = (Outcome, Reuse);
+
+impl<'a, 'p> Engine<'a, 'p> {
+    fn run_serial(&self) -> Result<Vec<Decided>, VerifyError> {
+        reflex_symbolic::with_scratch(|| {
+            (0..self.plans.len())
+                .map(|i| {
+                    let (task, mut spent) = self.prepare(i);
+                    let mut units = Vec::new();
+                    for u in 0..unit_count(&task) {
+                        let (unit, ms) = self.unit(i, &task, u);
+                        spent += ms;
+                        // A trace property stops at its first failing case.
+                        // Non-interference cases all run, as the
+                        // property-at-a-time NI prover always did.
+                        let stop = matches!(
+                            unit,
+                            UnitResult::Crashed(_)
+                                | UnitResult::Oblig(oblig::UnitOut::Case(Err(_)))
+                        );
+                        units.push(unit);
+                        if stop {
+                            break;
                         }
                     }
-                }
-                Ok((outcome, Reuse::Partial))
-            }
-            ReusePlan::Reprove => reprove(name),
-        }
-    };
-    let execute = |name: &str, plan: &ReusePlan| -> Result<(Outcome, Reuse), VerifyError> {
-        let start = std::time::Instant::now();
-        // Panic isolation: a panicking proof task — prover defect or the
-        // injected chaos hook — becomes this property's Crashed outcome
-        // instead of unwinding into the worker pool and killing every
-        // sibling. Serial and parallel runs take the same path.
-        let result = match crate::options::catch_crash(name, || execute_inner(name, plan)) {
-            Ok(inner) => inner,
-            Err(crashed) => Ok((crashed, Reuse::Reproved)),
-        };
-        if let (Some(observe), Ok((outcome, reuse))) = (observer, &result) {
-            observe(name, *reuse, outcome, start.elapsed().as_secs_f64() * 1e3);
-        }
-        result
-    };
-
-    // The shared work-stealing pool schedules the per-property plans (and
-    // carries the caller's session-stats scope onto its workers).
-    let executed: Vec<Result<(Outcome, Reuse), VerifyError>> =
-        crate::sched::run_indexed(jobs, plans.len(), |i| {
-            let (name, plan) = &plans[i];
-            execute(name, plan)
-        });
-
-    let mut outcomes = Vec::with_capacity(plans.len());
-    let mut reused = Vec::new();
-    let mut partial = Vec::new();
-    let mut reproved = Vec::new();
-    for ((name, _), result) in plans.into_iter().zip(executed) {
-        let (outcome, used) = result?;
-        match used {
-            Reuse::Full => reused.push(name.clone()),
-            Reuse::Partial => partial.push(name.clone()),
-            Reuse::Reproved => reproved.push(name.clone()),
-        }
-        outcomes.push((name, outcome));
+                    self.finish(i, task, units, spent)
+                })
+                .collect()
+        })
     }
-    Ok(IncrementalReport {
-        outcomes,
-        reused,
-        partial,
-        reproved,
-    })
+
+    fn run_pooled(&self, jobs: usize) -> Result<Vec<Decided>, VerifyError> {
+        let n = self.plans.len();
+        let prepared = crate::sched::run_indexed(jobs, n, |i| self.prepare(i));
+        let flat: Vec<(usize, usize)> = prepared
+            .iter()
+            .enumerate()
+            .flat_map(|(i, (task, _))| (0..unit_count(task)).map(move |u| (i, u)))
+            .collect();
+        let mut results = crate::sched::run_indexed(jobs, flat.len(), |k| {
+            let (i, u) = flat[k];
+            self.unit(i, &prepared[i].0, u)
+        })
+        .into_iter();
+        // Regroup the property-major unit results; each property is then
+        // assembled (and checked) by whichever worker takes it.
+        type Slot<'a, 'p> = Mutex<Option<(Task<'a, 'p>, Vec<UnitResult>, f64)>>;
+        let slots: Vec<Slot<'_, '_>> = prepared
+            .into_iter()
+            .map(|(task, mut spent)| {
+                let units = (0..unit_count(&task))
+                    .map(|_| {
+                        let (unit, ms) = results.next().expect("every unit has a result");
+                        spent += ms;
+                        unit
+                    })
+                    .collect();
+                Mutex::new(Some((task, units, spent)))
+            })
+            .collect();
+        crate::sched::run_indexed(jobs, n, |i| {
+            let (task, units, spent) = slots[i]
+                .lock()
+                .expect("engine slot poisoned")
+                .take()
+                .expect("each property is finished once");
+            self.finish(i, task, units, spent)
+        })
+        .into_iter()
+        .collect()
+    }
+
+    /// Splits property `i`'s `Reprove` plan into obligations (running its
+    /// pre-checks and base cases).
+    fn prepare(&self, i: usize) -> (Task<'a, 'p>, f64) {
+        let start = Instant::now();
+        let (prop, plan) = &self.plans[i];
+        let task = match plan {
+            ReusePlan::Reprove => Task::Prove(
+                catch_crash(&prop.name, || {
+                    oblig::prepare(self.abs, self.options, prop, Some(self.cache))
+                })
+                .unwrap_or_else(|crashed| oblig::Prepared::Done(Box::new(crashed))),
+            ),
+            ReusePlan::Full | ReusePlan::Partial { .. } => Task::Reuse,
+        };
+        (task, ms_since(start))
+    }
+
+    /// Runs unit `u` of property `i`.
+    fn unit(&self, i: usize, task: &Task<'_, '_>, u: usize) -> (UnitResult, f64) {
+        let start = Instant::now();
+        let (prop, plan) = &self.plans[i];
+        let result = catch_crash(&prop.name, || match task {
+            Task::Prove(prepared) => UnitResult::Oblig(oblig::run_unit(
+                prepared,
+                u,
+                self.abs,
+                self.options,
+                Some(self.cache),
+            )),
+            Task::Reuse => {
+                let (outcome, used) = self.reuse(prop, plan);
+                UnitResult::Reused(outcome, used)
+            }
+        })
+        .unwrap_or_else(UnitResult::Crashed);
+        (result, ms_since(start))
+    }
+
+    /// Assembles property `i` from its unit results, applies the check
+    /// rule and reports it to the observer.
+    fn finish(
+        &self,
+        i: usize,
+        task: Task<'_, '_>,
+        units: Vec<UnitResult>,
+        spent_ms: f64,
+    ) -> Result<Decided, VerifyError> {
+        let start = Instant::now();
+        let name = &self.plans[i].0.name;
+        let decided = catch_crash(name, || -> Result<Decided, VerifyError> {
+            let mut outs = Vec::with_capacity(units.len());
+            let mut reused = None;
+            for unit in units {
+                match unit {
+                    UnitResult::Crashed(crashed) => return Ok((crashed, Reuse::Reproved)),
+                    UnitResult::Oblig(out) => outs.push(out),
+                    UnitResult::Reused(outcome, used) => reused = Some((outcome, used)),
+                }
+            }
+            let (outcome, used) = match task {
+                Task::Prove(prepared) => {
+                    (oblig::assemble(prepared, outs, self.abs), Reuse::Reproved)
+                }
+                Task::Reuse => reused.expect("a reuse plan has one unit"),
+            };
+            if used == Reuse::Reproved && self.run.checks != Checks::None {
+                if let Outcome::Proved(cert) = &outcome {
+                    crate::check_certificate_with(self.abs, cert, self.options).map_err(|e| {
+                        VerifyError::CertificateRejected {
+                            name: name.clone(),
+                            message: e.to_string(),
+                        }
+                    })?;
+                }
+            }
+            Ok((outcome, used))
+        })
+        .unwrap_or_else(|crashed| Ok((crashed, Reuse::Reproved)))?;
+        if let Some(observe) = self.run.observer {
+            observe(name, decided.1, &decided.0, spent_ms + ms_since(start));
+        }
+        Ok(decided)
+    }
+
+    /// Runs a `Full` or `Partial` plan. Content that fails a requested
+    /// check is re-proved from scratch instead.
+    fn reuse(&self, prop: &PropertyDecl, plan: &ReusePlan) -> Decided {
+        let name = &prop.name;
+        let passes = |cert: &Certificate| {
+            crate::check_certificate_with(self.abs, cert, self.options).is_ok()
+        };
+        let reprove = || {
+            let outcome = crate::prove_with_cache(self.abs, name, self.options, Some(self.cache))
+                .expect("planned properties come from the program");
+            (outcome, Reuse::Reproved)
+        };
+        let prior = self.graph.certificate(name);
+        match (plan, prior) {
+            (ReusePlan::Full, Some(cert)) => {
+                if self.run.checks == Checks::All && !passes(cert) {
+                    return reprove();
+                }
+                (Outcome::Proved(cert.clone()), Reuse::Full)
+            }
+            (ReusePlan::Partial { dirty }, Some(Certificate::Trace(prior))) => {
+                let PropBody::Trace(tp) = &prop.body else {
+                    unreachable!("plan is Partial only for trace properties");
+                };
+                let shared = self.options.shared_cache.then_some(self.cache);
+                let mut outcome = crate::trace_prover::prove_trace_partial(
+                    self.abs,
+                    self.options,
+                    prop,
+                    tp,
+                    shared,
+                    prior,
+                    dirty,
+                );
+                if let Outcome::Proved(cert) = &mut outcome {
+                    cert.set_deps(DepSet::compute(
+                        self.abs.checked(),
+                        self.abs.ranges_fp(),
+                        cert,
+                    ));
+                    if self.run.checks != Checks::None && !passes(cert) {
+                        return reprove();
+                    }
+                }
+                (outcome, Reuse::Partial)
+            }
+            _ => unreachable!("reuse plans exist only for stored certificates"),
+        }
+    }
+}
+
+fn unit_count(task: &Task<'_, '_>) -> usize {
+    match task {
+        Task::Prove(prepared) => oblig::unit_count(prepared),
+        Task::Reuse => 1,
+    }
+}
+
+fn ms_since(start: Instant) -> f64 {
+    start.elapsed().as_secs_f64() * 1e3
 }

@@ -57,7 +57,6 @@ mod oblig;
 mod options;
 pub mod sched;
 mod shared;
-mod stats;
 pub mod store;
 mod trace_prover;
 pub mod vfs;
@@ -70,16 +69,15 @@ pub use checker::{check_certificate, check_certificate_with, CheckError};
 pub use clock::{Clock, RealClock, VirtualClock};
 pub use falsify::{falsify, Counterexample, FalsifyOptions};
 pub use incremental::{
-    reverify, reverify_jobs, reverify_observed, DepGraph, IncrementalReport, PropObserver, Reuse,
-    ReusePlan,
+    reverify, reverify_core, reverify_observed, Checks, DepGraph, IncrementalReport, PropObserver,
+    Reuse, ReusePlan, VerifyRun,
 };
 pub use options::{
     catch_crash, resolve_jobs, Outcome, PanicPlan, ProofFailure, ProverOptions, VerifyError,
 };
-pub use stats::{paths_explored, PropStats, ProverStats};
 pub use store::{
-    load_candidates, persist_outcomes, verify_with_store, verify_with_store_observed, ProofStore,
-    ScrubReport, StoreHead, StoreReport, StoreStat, QUARANTINE_DIR, STORE_VERSION,
+    load_candidates, persist_outcomes, verify_with_store, ProofStore, ScrubReport, StoreHead,
+    StoreReport, StoreStat, QUARANTINE_DIR, STORE_VERSION,
 };
 pub use vfs::{FaultyFs, FsFault, FsFaultPlan, FsOp, RealFs, VerifyFs};
 
@@ -150,8 +148,8 @@ pub fn prove_with(
 /// subproofs through `cache`.
 ///
 /// Pass the same [`ProofCache`] for every property of a program to reuse
-/// auxiliary invariants and lemmas across them (this is what [`prove_all`]
-/// and [`prove_all_parallel`] do). The cache never changes outcomes or
+/// auxiliary invariants and lemmas across them (this is what
+/// [`reverify_core`] does). The cache never changes outcomes or
 /// certificates — cached subproofs are self-contained packages that are
 /// pure functions of their keys — and it is ignored entirely when
 /// [`ProverOptions::shared_cache`] is off.
@@ -187,7 +185,7 @@ pub fn prove_with_cache(
 }
 
 /// The pre-flight checks every prover entry (whole-property and
-/// obligation-scheduled alike) must run before searching: `Some` is a
+/// obligation-split alike) must run before searching: `Some` is a
 /// short-circuit outcome.
 pub(crate) fn pre_check(
     abs: &Abstraction<'_>,
@@ -273,130 +271,12 @@ pub(crate) fn program_uses_broadcast(program: &reflex_ast::Program) -> bool {
 }
 
 /// Proves every property of the program, returning `(name, outcome)`
-/// pairs in declaration order. Properties share one [`ProofCache`], so an
-/// auxiliary invariant derived for one property is reused by the rest.
+/// pairs in declaration order, on [`ProverOptions::jobs`] pool workers.
+/// Properties share one [`ProofCache`], so an auxiliary invariant derived
+/// for one property is reused by the rest. Outcomes and certificates are
+/// identical for every job count (see [`reverify_core`]).
 pub fn prove_all(checked: &CheckedProgram, options: &ProverOptions) -> Vec<(String, Outcome)> {
-    let abs = Abstraction::build(checked, options);
-    let cache = ProofCache::new();
-    checked
-        .program()
-        .properties
-        .iter()
-        .map(|p| {
-            let outcome = prove_with_cache(&abs, &p.name, options, Some(&cache))
-                .expect("property exists by construction");
-            (p.name.clone(), outcome)
-        })
-        .collect()
-}
-
-/// Proves every property of the program on `jobs` worker threads (`0`:
-/// one per available CPU), returning `(name, outcome)` pairs in
-/// declaration order.
-///
-/// The abstraction is built once and shared; the properties are fanned out
-/// over a work queue and share one [`ProofCache`]. Because cached
-/// subproofs are pure functions of their keys (see [`ProofCache`]), every
-/// outcome and certificate is identical to [`prove_all`]'s, for every
-/// `jobs` value — thread timing decides only which property pays for a
-/// shared subproof first.
-pub fn prove_all_parallel(
-    checked: &CheckedProgram,
-    options: &ProverOptions,
-    jobs: usize,
-) -> Vec<(String, Outcome)> {
-    prove_all_parallel_with_stats(checked, options, jobs).0
-}
-
-/// [`prove_all_parallel`], also returning the run's [`ProverStats`].
-///
-/// Parallelism is scheduled at the *obligation* level, not the property
-/// level: each property is first prepared (pre-checks, base cases,
-/// obligation enumeration — itself fanned out across workers), then every
-/// obligation of every property enters one flat work-stealing pool, so a
-/// single huge property no longer serializes a worker while its siblings'
-/// workers idle. Outcomes and certificates are identical to [`prove_all`]
-/// for every `jobs` value — see `oblig.rs` for the determinism argument.
-pub fn prove_all_parallel_with_stats(
-    checked: &CheckedProgram,
-    options: &ProverOptions,
-    jobs: usize,
-) -> (Vec<(String, Outcome)>, ProverStats) {
-    use std::time::Instant;
-
-    let jobs = options::resolve_jobs(jobs);
-    let start = Instant::now();
-    let paths_before = stats::paths_explored();
-
-    let abs = Abstraction::build(checked, options);
-    let cache = ProofCache::new();
-    let props = &checked.program().properties;
-
-    // This run's own solver counters; the pool re-installs the scope on
-    // every worker, so the reported numbers cover exactly this run even
-    // when other sessions share the process-global interner and memo.
-    let session = reflex_symbolic::SymSessionStats::new();
-    let (results, rows) =
-        reflex_symbolic::with_session_stats(std::sync::Arc::clone(&session), || {
-            // Phase 1: prepare every property (pre-checks + base cases), in
-            // parallel across properties.
-            let prepared: Vec<(oblig::Prepared<'_, '_>, f64)> =
-                sched::run_indexed(jobs, props.len(), |i| {
-                    let t0 = Instant::now();
-                    let p = oblig::prepare(&abs, options, &props[i], Some(&cache));
-                    (p, t0.elapsed().as_secs_f64() * 1e3)
-                });
-
-            // Phase 2: one flat pool over every obligation of every property.
-            let tasks: Vec<(usize, usize)> = prepared
-                .iter()
-                .enumerate()
-                .flat_map(|(pi, (p, _))| (0..oblig::unit_count(p)).map(move |u| (pi, u)))
-                .collect();
-            let unit_results: Vec<(oblig::UnitOut, f64)> =
-                sched::run_indexed(jobs, tasks.len(), |t| {
-                    let (pi, u) = tasks[t];
-                    let t0 = Instant::now();
-                    let out = oblig::run_unit(&prepared[pi].0, u, &abs, options, Some(&cache));
-                    (out, t0.elapsed().as_secs_f64() * 1e3)
-                });
-
-            // Phase 3: reassemble per property, in declaration order. Task
-            // order is property-major, so a sequential split regroups the
-            // unit results.
-            let mut unit_iter = unit_results.into_iter();
-            let mut results = Vec::with_capacity(props.len());
-            let mut rows = Vec::with_capacity(props.len());
-            for (prop, (p, prep_ms)) in props.iter().zip(prepared) {
-                let mut units = Vec::with_capacity(oblig::unit_count(&p));
-                let mut wall_ms = prep_ms;
-                for _ in 0..oblig::unit_count(&p) {
-                    let (out, unit_ms) = unit_iter.next().expect("every obligation has a result");
-                    units.push(out);
-                    wall_ms += unit_ms;
-                }
-                let outcome = oblig::assemble(p, units, &abs);
-                rows.push(PropStats {
-                    name: prop.name.clone(),
-                    proved: outcome.is_proved(),
-                    wall_ms,
-                    obligations: outcome
-                        .certificate()
-                        .map_or(0, certificate::Certificate::obligation_count),
-                });
-                results.push((prop.name.clone(), outcome));
-            }
-            (results, rows)
-        });
-    let stats = ProverStats {
-        jobs,
-        total_ms: start.elapsed().as_secs_f64() * 1e3,
-        properties: rows,
-        paths_explored: stats::paths_explored() - paths_before,
-        cache: cache.stats(),
-        solver_queries: session.memo_queries(),
-        solver_memo_hits: session.memo_hits(),
-        interned_terms: reflex_symbolic::intern_stats().nodes,
-    };
-    (results, stats)
+    reverify_core(checked, options, VerifyRun::default())
+        .expect("no previous certificates and no requested checks")
+        .outcomes
 }

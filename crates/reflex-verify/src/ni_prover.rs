@@ -47,7 +47,7 @@ pub fn prove_ni(
         spec,
         options,
     };
-    match prover.prove(options.effective_jobs()) {
+    match prover.prove() {
         Ok(cert) => Outcome::Proved(Certificate::NonInterference(cert)),
         Err(e) => Outcome::Failed(e),
     }
@@ -228,26 +228,25 @@ impl<'a, 'p> NiProver<'a, 'p> {
         s
     }
 
-    fn prove(&self, jobs: usize) -> Result<NiCert, ProofFailure> {
+    fn prove(&self) -> Result<NiCert, ProofFailure> {
         let sigma0 = self.sigma0();
-        let units: Vec<(usize, &World, &reflex_symbolic::Exchange)> = self
+        // Every case is checked, even after a failure (the lowest failing
+        // case is the one reported): the engine's serial path runs NI
+        // obligations the same way, so budget ticks agree between the two.
+        let cases: Vec<Result<NiCaseCert, ProofFailure>> = self
             .abs
             .worlds
             .iter()
             .enumerate()
-            .flat_map(|(wi, world)| world.exchanges.iter().map(move |ex| (wi, world, ex)))
+            .flat_map(|(wi, world)| {
+                world
+                    .exchanges
+                    .iter()
+                    .map(move |exchange| (wi, world, exchange))
+            })
+            .map(|(wi, world, exchange)| self.check_case(wi, world, exchange, &sigma0))
             .collect();
-        // Each case is a pure function of the abstraction, so they can be
-        // checked on worker threads. Results are collected in case order;
-        // on failure the lowest failing index is reported — both identical
-        // to the serial loop (which the certificate checker re-runs and
-        // compares against, so this must hold exactly).
-        let cases = crate::sched::run_indexed(jobs, units.len(), |i| {
-            let (wi, world, exchange) = units[i];
-            self.check_case(wi, world, exchange, &sigma0)
-        })
-        .into_iter()
-        .collect::<Result<Vec<_>, _>>()?;
+        let cases = cases.into_iter().collect::<Result<Vec<_>, _>>()?;
         Ok(NiCert {
             property: self.prop.name.clone(),
             cases,

@@ -1,10 +1,11 @@
 //! Cross-property obligation scheduling.
 //!
-//! The property-level fan-out has a long-tail problem: a batch of cheap
+//! A property-level fan-out has a long-tail problem: a batch of cheap
 //! properties plus one huge one keeps a single worker busy for the whole
 //! run while the rest go idle. This module decomposes each property into
-//! its individually schedulable proof obligations so the work-stealing
-//! pool ([`crate::sched`]) can interleave obligations *across* properties:
+//! its individually schedulable proof obligations so the engine
+//! ([`crate::reverify_core`]) can interleave them *across* properties on
+//! the work-stealing pool ([`crate::sched`]):
 //!
 //! * witness-only trace properties (`ImmBefore`/`ImmAfter`/`Ensures`)
 //!   split into their inductive cases ([`trace_prover::PreparedTrace`]);
@@ -18,8 +19,9 @@
 //! functions of the abstraction and options; the scheduler only decides
 //! *which worker* computes each result. Assembly consumes results in
 //! serial visit order, so outcomes and certificates are byte-identical to
-//! [`crate::prove_all`] for every job count (enforced by the
-//! `determinism.rs` integration tests and the CI `scale` job).
+//! the whole-property prover ([`crate::prove_with_cache`]) for every job
+//! count (enforced by the `determinism.rs` integration tests and the CI
+//! `scale` job).
 
 use reflex_ast::PropBody;
 
@@ -104,8 +106,9 @@ pub(crate) fn run_unit(
     options: &ProverOptions,
     cache: Option<&ProofCache>,
 ) -> UnitOut {
-    // Each obligation is one task for the scratch term arena (whole
-    // properties get their scope inside `prove_with_cache`).
+    // Each obligation is one task for the scratch term arena; inside a
+    // pool worker's scope these nest into it instead of opening their own
+    // (whole properties get theirs inside `prove_with_cache`).
     match prepared {
         Prepared::Done(_) => unreachable!("resolved properties contribute no obligations"),
         Prepared::Trace(p) => UnitOut::Case(reflex_symbolic::with_scratch(|| p.run_unit(u))),

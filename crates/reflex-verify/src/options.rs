@@ -32,11 +32,11 @@ pub struct ProverOptions {
     /// checker, so a cache bug can surface only as a check failure, never a
     /// wrong "Proved".
     pub shared_cache: bool,
-    /// Worker threads for case-level parallelism *inside* one property
-    /// proof (the per-`(component type, message type)` inductive cases are
-    /// independent). `1` is fully serial; `0` means one worker per
-    /// available CPU. Results are collected in case order, so the emitted
-    /// certificate is identical for every value.
+    /// Proof threads in total: the width of the one work-stealing pool
+    /// every verification runs its obligations on (see
+    /// [`crate::reverify_core`]). `1` is fully serial; `0` means one worker
+    /// per available CPU. Results are collected in declaration and case
+    /// order, so every emitted certificate is identical for every value.
     pub jobs: usize,
     /// Optional cooperative wall-clock/node budget and cancellation token
     /// (see [`crate::ProofBudget`]). Like `jobs`, a budget can only stop a
@@ -349,6 +349,14 @@ pub enum VerifyError {
         /// The property the certificate actually certifies.
         certified: String,
     },
+    /// A freshly produced certificate failed the independent checker — a
+    /// prover bug surfacing exactly where the architecture routes it.
+    CertificateRejected {
+        /// The property whose certificate was rejected.
+        name: String,
+        /// The checker's complaint.
+        message: String,
+    },
 }
 
 impl fmt::Display for VerifyError {
@@ -365,6 +373,9 @@ impl fmt::Display for VerifyError {
                     f,
                     "certificate filed under `{name}` actually certifies `{certified}`"
                 )
+            }
+            VerifyError::CertificateRejected { name, message } => {
+                write!(f, "{name}: certificate rejected by the checker: {message}")
             }
         }
     }

@@ -1,11 +1,12 @@
 //! A hand-rolled work-stealing pool over pre-enumerated, independent
-//! proof obligations.
+//! proof tasks — the one scheduler every verification fans out on (the
+//! engine in [`crate::incremental`] is its only caller).
 //!
-//! Proof search fans out at two levels: properties across a program, and
-//! inductive cases within a property. Both reduce to the same shape — a
-//! fixed list of independent tasks whose results must be collected *in
-//! index order* so outcomes and certificates are identical to a serial
-//! run regardless of thread timing.
+//! The engine hands it flat lists of independent tasks (property
+//! preparations, then every obligation of every property, then per-property
+//! assembly) whose results must be collected *in index order* so outcomes
+//! and certificates are identical to a serial run regardless of thread
+//! timing.
 //!
 //! [`run_indexed`] implements that shape as an injector/stealer pool (no
 //! external deps — crossbeam is not vendored):
@@ -15,9 +16,7 @@
 //! * each worker drains its chunk from a **local deque**; when both its
 //!   deque and the injector are empty it **steals half** of the richest
 //!   victim's remaining work, so a worker stuck behind one expensive
-//!   obligation cannot strand the tail of its chunk while others idle —
-//!   the "one huge property serializes a worker" failure mode of the old
-//!   per-property fan-out;
+//!   obligation cannot strand the tail of its chunk while others idle;
 //! * every result lands in its index's slot; the caller reads the slots
 //!   in order. Scheduling decides only *who* computes a result, never
 //!   *what* it is, which is the whole determinism argument (DESIGN.md
@@ -28,7 +27,11 @@
 //! panic isolation wrap the task body in
 //! [`crate::options::catch_crash`] themselves.
 //!
-//! The calling thread's symbolic session-stats scope
+//! Every worker (and the calling thread, when the pool degenerates to a
+//! serial loop) runs inside one scratch term arena scope
+//! ([`reflex_symbolic::with_scratch`]) for the whole call, so tasks nest
+//! into it instead of allocating and dropping a table each. The calling
+//! thread's symbolic session-stats scope
 //! ([`reflex_symbolic::with_session_stats`]) is inherited by every worker,
 //! so per-session counters survive the hop onto pool threads.
 
@@ -46,7 +49,7 @@ where
 {
     let workers = workers.min(count).max(1);
     if workers == 1 {
-        return (0..count).map(run).collect();
+        return reflex_symbolic::with_scratch(|| (0..count).map(run).collect());
     }
 
     // Chunk size: small enough that stealing has something to rebalance,
@@ -102,9 +105,11 @@ where
             let steal = &steal;
             let session = session.clone();
             let work = move || {
-                while let Some(i) = pop_local(me).or_else(|| refill(me)).or_else(|| steal(me)) {
-                    *slots[i].lock().expect("sched slot poisoned") = Some(run(i));
-                }
+                reflex_symbolic::with_scratch(|| {
+                    while let Some(i) = pop_local(me).or_else(|| refill(me)).or_else(|| steal(me)) {
+                        *slots[i].lock().expect("sched slot poisoned") = Some(run(i));
+                    }
+                })
             };
             scope.spawn(move || match session {
                 Some(stats) => reflex_symbolic::with_session_stats(stats, work),

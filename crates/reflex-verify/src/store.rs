@@ -1760,9 +1760,10 @@ pub struct StoreReport {
 /// the current program fingerprint (hit when editing back to a previously
 /// proved version), and the **previous** run's entries found via the head
 /// record (planned onto the full/per-case/re-prove ladder exactly like an
-/// in-memory [`crate::reverify`]). Every candidate taken — wholesale or
-/// spliced — must pass [`crate::check_certificate`] against `new` before it
-/// is reported as reused; rejects are re-proved from scratch.
+/// in-memory [`crate::reverify`]). Every certificate returned — reused,
+/// spliced or fresh — passes [`crate::check_certificate`] against `new`
+/// first ([`crate::Checks::All`]); rejected candidates are re-proved from
+/// scratch.
 ///
 /// Persistence is best-effort: I/O failures while writing back cost future
 /// misses, not verification failures.
@@ -1771,29 +1772,25 @@ pub struct StoreReport {
 ///
 /// Proof-search failures are reported per-property inside the report;
 /// errors are reserved for malformed inputs (impossible here: loaded
-/// candidates are filtered before planning).
+/// candidates are filtered before planning) and fresh certificates the
+/// checker rejects.
 pub fn verify_with_store(
     new: &CheckedProgram,
     options: &ProverOptions,
     store: &ProofStore,
     jobs: usize,
 ) -> Result<StoreReport, VerifyError> {
-    verify_with_store_observed(new, options, store, jobs, None)
-}
-
-/// [`verify_with_store`] with a per-property [`crate::incremental::PropObserver`]
-/// invoked as each outcome is decided (used by the session engine's
-/// instrumentation; `None` is exactly `verify_with_store`).
-pub fn verify_with_store_observed(
-    new: &CheckedProgram,
-    options: &ProverOptions,
-    store: &ProofStore,
-    jobs: usize,
-    observer: Option<crate::incremental::PropObserver<'_>>,
-) -> Result<StoreReport, VerifyError> {
     let previous = load_candidates(new, options, store);
     let loaded = previous.len();
-    let report = crate::incremental::reverify_core(&previous, new, options, jobs, true, observer)?;
+    let report = crate::reverify_core(
+        new,
+        &crate::incremental::with_jobs(options, jobs),
+        crate::VerifyRun {
+            previous: &previous,
+            checks: crate::Checks::All,
+            ..crate::VerifyRun::default()
+        },
+    )?;
     let saved = persist_outcomes(new, options, store, &report.outcomes);
     Ok(StoreReport {
         report,
@@ -1808,7 +1805,7 @@ pub fn verify_with_store_observed(
 /// head record — filtered down to decodable, correctly-filed candidates.
 ///
 /// The returned slice feeds the reuse planner
-/// ([`crate::reverify_jobs_observed`] with validation, or
+/// ([`crate::reverify_core`] with [`crate::Checks::All`], or
 /// [`crate::DepGraph`] directly); nothing in it is trusted until it passes
 /// the independent checker.
 pub fn load_candidates(

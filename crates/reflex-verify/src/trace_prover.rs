@@ -352,20 +352,7 @@ impl<'a, 'p> TraceProver<'a, 'p> {
             base.push(self.check_actions(&actions, &world.init.condition, None, &location)?);
         }
         let trigger = self.tp.trigger().clone();
-        // `ImmBefore`/`ImmAfter`/`Ensures` obligations are discharged by
-        // local witnesses only — their justification never touches the
-        // invariant or lemma tables, so each inductive case is a pure
-        // function of the abstraction and can run on a worker thread.
-        let pure_kind = matches!(
-            self.tp.kind,
-            TracePropKind::ImmBefore | TracePropKind::ImmAfter | TracePropKind::Ensures
-        );
-        let jobs = self.options.effective_jobs();
-        let cases = if pure_kind && jobs > 1 {
-            self.prove_cases_parallel(&trigger, jobs)?
-        } else {
-            self.prove_cases_serial(&trigger)?
-        };
+        let cases = self.prove_cases_serial(&trigger)?;
         Ok(TraceCert {
             property: self.prop.name.clone(),
             base,
@@ -438,35 +425,8 @@ impl<'a, 'p> TraceProver<'a, 'p> {
         })
     }
 
-    /// Checks all inductive cases of a witness-only (`ImmBefore` /
-    /// `ImmAfter` / `Ensures`) property on `jobs` worker threads.
-    ///
-    /// Results land in per-case slots and are collected in case order, so
-    /// the certificate — and, on failure, the reported case (the lowest
-    /// failing index, exactly what the serial loop stops at) — is identical
-    /// to the serial run's regardless of thread timing.
-    fn prove_cases_parallel(
-        &self,
-        trigger: &ActionPat,
-        jobs: usize,
-    ) -> Result<Vec<CaseCert>, ProofFailure> {
-        let units: Vec<(usize, &World, &reflex_symbolic::Exchange)> = self
-            .abs
-            .worlds
-            .iter()
-            .enumerate()
-            .flat_map(|(wi, world)| world.exchanges.iter().map(move |ex| (wi, world, ex)))
-            .collect();
-        crate::sched::run_indexed(jobs, units.len(), |i| {
-            let (wi, _, exchange) = units[i];
-            self.check_case_witness_only(wi, exchange, trigger)
-        })
-        .into_iter()
-        .collect()
-    }
-
-    /// One inductive case of a witness-only property (shared by the
-    /// parallel path; takes `&self` because these justifications never
+    /// One inductive case of a witness-only property (an obligation of
+    /// [`PreparedTrace`]; takes `&self` because these justifications never
     /// extend the invariant/lemma tables).
     fn check_case_witness_only(
         &self,
@@ -512,7 +472,8 @@ impl<'a, 'p> TraceProver<'a, 'p> {
     /// Enumerates the trigger obligations of one appended-action segment:
     /// each trigger instance is either refuted (side conditions contradict
     /// the path condition) or open, carrying the solver context extended
-    /// with its side conditions. Shared by the serial and parallel paths.
+    /// with its side conditions. Shared by the whole-property and
+    /// obligation-split paths.
     fn obligation_contexts(
         &self,
         actions: &[&SymAction],

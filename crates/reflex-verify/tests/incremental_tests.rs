@@ -208,7 +208,11 @@ fn parallel_reverify_matches_serial() {
     );
     let new = check(&parse_program("browser", &edited_src).expect("parses")).expect("checks");
     let serial = reverify(&previous, &new, &options).expect("serial");
-    let parallel = reflex_verify::reverify_jobs(&previous, &new, &options, 8).expect("parallel");
+    let pooled = ProverOptions {
+        jobs: 8,
+        ..ProverOptions::default()
+    };
+    let parallel = reverify(&previous, &new, &pooled).expect("parallel");
     assert_eq!(serial.reused, parallel.reused);
     assert_eq!(serial.partial, parallel.partial);
     assert_eq!(serial.reproved, parallel.reproved);

@@ -20,9 +20,7 @@ use std::sync::OnceLock;
 use proptest::prelude::*;
 use reflex_parser::parse_program;
 use reflex_typeck::check;
-use reflex_verify::{
-    check_certificate, prove_all, reverify, reverify_jobs, Certificate, ProverOptions,
-};
+use reflex_verify::{check_certificate, prove_all, reverify, Certificate, ProverOptions};
 
 /// Every bundled kernel, with a state variable to self-assign.
 const KERNELS: [(&str, &str, &str); 7] = [
@@ -137,7 +135,8 @@ proptest! {
             }
 
             // Thread fan-out must not change a single byte.
-            let parallel = reverify_jobs(previous, &new, &options, 8).expect("parallel");
+            let pooled = ProverOptions { jobs: 8, ..options.clone() };
+            let parallel = reverify(previous, &new, &pooled).expect("parallel");
             prop_assert_eq!(&report.reused, &parallel.reused, "{}", name);
             prop_assert_eq!(&report.partial, &parallel.partial, "{}", name);
             prop_assert_eq!(&report.reproved, &parallel.reproved, "{}", name);

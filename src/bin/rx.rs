@@ -149,7 +149,7 @@ const VERIFY_FLAGS: &[FlagSpec] = &[
     FlagSpec {
         name: "--jobs",
         value: Some("N"),
-        help: "prove on N worker threads (0: one per CPU)",
+        help: "N proof threads in total (0: one per CPU)",
     },
     FlagSpec {
         name: "--stats",
@@ -187,7 +187,7 @@ const WATCH_FLAGS: &[FlagSpec] = &[
     FlagSpec {
         name: "--jobs",
         value: Some("N"),
-        help: "prove on N worker threads (0: one per CPU)",
+        help: "N proof threads in total (0: one per CPU)",
     },
     FlagSpec {
         name: "--store",
@@ -296,7 +296,7 @@ const CHAOS_FLAGS: &[FlagSpec] = &[
     FlagSpec {
         name: "--jobs",
         value: Some("N"),
-        help: "prove on N worker threads (0: one per CPU)",
+        help: "N proof threads in total (0: one per CPU)",
     },
     FlagSpec {
         name: "--gen",
@@ -397,7 +397,7 @@ const BENCH_FLAGS: &[FlagSpec] = &[
     FlagSpec {
         name: "--jobs",
         value: Some("N"),
-        help: "prove on N worker threads (0: one per CPU)",
+        help: "N proof threads in total (0: one per CPU)",
     },
     FlagSpec {
         name: "--preset",
@@ -694,11 +694,6 @@ fn cmd_verify(parsed: &cli::Parsed) -> Result<(), CliError> {
         [file, prop] => (file.as_str(), Some(prop.clone())),
         _ => return Err(CliError::Usage("expected FILE and optionally PROP".into())),
     };
-    if parsed.value("--store").is_some() && prop.is_some() {
-        return Err(CliError::Usage(
-            "--store proves all properties; drop the PROP argument".into(),
-        ));
-    }
     let store_mode = parsed.value("--store").is_some();
     let (name, source) = read_kernel(file)?;
     let request = Request::Verify {

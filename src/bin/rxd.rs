@@ -45,7 +45,7 @@ const FLAGS: &[FlagSpec] = &[
     FlagSpec {
         name: "--jobs",
         value: Some("N"),
-        help: "prover threads per request (0: one per CPU)",
+        help: "proof threads per request, in total (0: one per CPU)",
     },
     FlagSpec {
         name: "--workers",

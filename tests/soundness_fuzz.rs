@@ -375,11 +375,11 @@ fn fuzz_one(seed: u64) -> Result<(), String> {
     Ok(())
 }
 
-/// Shared-cache and parallel-prover agreement on one random program: the
-/// cross-property cache must never flip an outcome, and the parallel
-/// driver must reproduce the serial run exactly.
+/// Shared-cache and pool-width agreement on one random program: the
+/// cross-property cache must never flip an outcome, and the engine on a
+/// 3-worker obligation pool must reproduce the serial run exactly.
 fn agreement_one(seed: u64) -> Result<(), String> {
-    use reflex::verify::{prove_all, prove_all_parallel};
+    use reflex::verify::prove_all;
     let program = gen_program(seed);
     let Ok(checked) = reflex::typeck::check(&program) else {
         return Ok(()); // generator occasionally types badly; skip
@@ -390,7 +390,13 @@ fn agreement_one(seed: u64) -> Result<(), String> {
         ..ProverOptions::default()
     };
     let serial = prove_all(&checked, &cache_on);
-    let parallel = prove_all_parallel(&checked, &cache_on, 3);
+    let parallel = prove_all(
+        &checked,
+        &ProverOptions {
+            jobs: 3,
+            ..ProverOptions::default()
+        },
+    );
     let uncached = prove_all(&checked, &cache_off);
     for (((name, a), (_, b)), (_, c)) in serial.iter().zip(&parallel).zip(&uncached) {
         // Parallel vs serial: identical outcomes, certificates included.
