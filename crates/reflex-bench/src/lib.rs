@@ -35,7 +35,7 @@ use std::time::Instant;
 
 use reflex_driver::{Env, NullSink, SessionConfig, SessionReport, VerifySession};
 use reflex_kernels::{all_benchmarks, figure6, loc_split};
-use reflex_verify::{check_certificate, ProverOptions};
+use reflex_verify::{check_certificate_with, Abstraction, ProverOptions};
 
 /// A benchmark-harness failure: a property that should verify didn't, a
 /// certificate the checker rejected, or a session that failed to run.
@@ -69,13 +69,16 @@ pub struct Fig6Result {
 /// Validates one benchmark's session report against the paper rows:
 /// every Figure 6 property must be proved, every certificate must pass
 /// the independent checker (timed here, so `prove_ms` stays pure proof
-/// search), and rows come back in `figure6::ROWS` order.
+/// search), and rows come back in `figure6::ROWS` order. The certificates
+/// are checked over one abstraction of the program, as a session checks
+/// them, so `check_ms` times the checker alone.
 fn rows_from_report(
     bench_name: &str,
     checked: &reflex_typeck::CheckedProgram,
     report: &SessionReport,
     options: &ProverOptions,
 ) -> Result<Vec<Fig6Result>, BenchError> {
+    let abs = Abstraction::build(checked, options);
     figure6::ROWS
         .iter()
         .filter(|r| r.benchmark == bench_name)
@@ -102,7 +105,7 @@ fn rows_from_report(
                 ))
             })?;
             let t0 = Instant::now();
-            check_certificate(checked, cert, options)
+            check_certificate_with(&abs, cert, options)
                 .map_err(|e| BenchError(format!("{}::{}: {e}", row.benchmark, row.property)))?;
             let check_ms = t0.elapsed().as_secs_f64() * 1e3;
             let prove_ms = report
@@ -541,6 +544,59 @@ pub struct UtilityResult {
     pub counterexample: bool,
 }
 
+/// One §6.3 seeded bug: a benchmark kernel with one edit, and the
+/// property the edit breaks.
+#[derive(Debug, Clone)]
+pub struct SeededMutant {
+    /// The kernel the edit applies to.
+    pub kernel: &'static str,
+    /// What was mutated.
+    pub mutation: &'static str,
+    /// The edited kernel source.
+    pub source: String,
+    /// The property expected to fail.
+    pub property: &'static str,
+}
+
+/// The four seeded bugs of §6.3, one per kernel that has one.
+pub fn seeded_mutants() -> Vec<SeededMutant> {
+    vec![
+        SeededMutant {
+            kernel: "browser",
+            mutation: "browser: socket handler loses its domain check",
+            source: reflex_kernels::browser::SOURCE.replace(
+                "    if (host == sender.domain) {\n      send(N, Connect(host));\n    }",
+                "    send(N, Connect(host));",
+            ),
+            property: "SocketsOnlyToOwnDomain",
+        },
+        SeededMutant {
+            kernel: "car",
+            mutation: "car: crash handler forgets to latch `crashed`",
+            source: reflex_kernels::car::SOURCE.replace("    crashed = true;\n", ""),
+            property: "NoLockAfterCrash",
+        },
+        SeededMutant {
+            kernel: "ssh",
+            mutation: "ssh: attempts counter reset on success",
+            source: reflex_kernels::ssh::SOURCE.replace(
+                "    auth_ok = true;\n  }",
+                "    auth_ok = true;\n    attempts = 0;\n  }",
+            ),
+            property: "FirstAttemptOnlyOnce",
+        },
+        SeededMutant {
+            kernel: "webserver",
+            mutation: "webserver: duplicate-session guard removed",
+            source: reflex_kernels::webserver::SOURCE.replace(
+                "    lookup Client(c : c.user == user) {\n    } else {\n      n <- spawn Client(user);\n    }",
+                "    n <- spawn Client(user);",
+            ),
+            property: "ClientsNeverDuplicated",
+        },
+    ]
+}
+
 /// Runs the seeded-bug experiment of §6.3 on the benchmark kernels.
 ///
 /// Each mutant goes through a [`VerifySession`] scoped to the property the
@@ -549,41 +605,16 @@ pub struct UtilityResult {
 /// edits must stay syntactically valid to be meaningful).
 pub fn run_utility() -> Result<Vec<UtilityResult>, BenchError> {
     use reflex_verify::{falsify, FalsifyOptions};
-    let cases: Vec<(&'static str, String, &'static str)> = vec![
-        (
-            "browser: socket handler loses its domain check",
-            reflex_kernels::browser::SOURCE.replace(
-                "    if (host == sender.domain) {\n      send(N, Connect(host));\n    }",
-                "    send(N, Connect(host));",
-            ),
-            "SocketsOnlyToOwnDomain",
-        ),
-        (
-            "car: crash handler forgets to latch `crashed`",
-            reflex_kernels::car::SOURCE.replace("    crashed = true;\n", ""),
-            "NoLockAfterCrash",
-        ),
-        (
-            "ssh: attempts counter reset on success",
-            reflex_kernels::ssh::SOURCE.replace(
-                "    auth_ok = true;\n  }",
-                "    auth_ok = true;\n    attempts = 0;\n  }",
-            ),
-            "FirstAttemptOnlyOnce",
-        ),
-        (
-            "webserver: duplicate-session guard removed",
-            reflex_kernels::webserver::SOURCE.replace(
-                "    lookup Client(c : c.user == user) {\n    } else {\n      n <- spawn Client(user);\n    }",
-                "    n <- spawn Client(user);",
-            ),
-            "ClientsNeverDuplicated",
-        ),
-    ];
     let options = ProverOptions::default();
-    cases
+    seeded_mutants()
         .into_iter()
-        .map(|(mutation, src, property)| {
+        .map(|mutant| {
+            let SeededMutant {
+                mutation,
+                source: src,
+                property,
+                ..
+            } = mutant;
             let program = reflex_parser::parse_program("mutant", &src)
                 .map_err(|e| BenchError(format!("{mutation}: mutant no longer parses: {e}")))?;
             let checked = reflex_typeck::check(&program)

@@ -18,7 +18,7 @@
 use std::time::Instant;
 
 use reflex_kernels::synth::{self, SynthConfig};
-use reflex_verify::{check_certificate, prove_all, ProverOptions};
+use reflex_verify::{check_certificate_with, prove_all, Abstraction, ProverOptions};
 
 use crate::BenchError;
 
@@ -113,12 +113,13 @@ pub fn run_scale_preset(preset: &str, seed: u64, jobs: usize) -> Result<ScaleRow
     let results = prove_all(&checked, &options);
     let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
 
+    let abs = Abstraction::build(&checked, &options);
     let mut obligations = 0u64;
     for (name, outcome) in &results {
         let cert = outcome
             .certificate()
             .ok_or_else(|| BenchError(format!("{}: {name} failed to prove", kernel.name)))?;
-        check_certificate(&checked, cert, &options).map_err(|e| {
+        check_certificate_with(&abs, cert, &options).map_err(|e| {
             BenchError(format!(
                 "{}: {name}: certificate rejected: {e}",
                 kernel.name

@@ -30,6 +30,7 @@
 #![warn(missing_docs)]
 
 mod instrument;
+mod lru;
 mod stats;
 pub mod watch;
 
@@ -40,7 +41,6 @@ pub use instrument::{
 pub use stats::{PropStats, ProverStats};
 pub use watch::{BackoffPolicy, WatchIteration, WatchSession};
 
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
@@ -51,8 +51,20 @@ use reflex_typeck::CheckedProgram;
 use reflex_verify::certificate::Certificate;
 use reflex_verify::{
     load_candidates, persist_outcomes, reverify_core, CacheStats, Checks, Outcome, ProofBudget,
-    ProofCache, ProofStore, ProverOptions, Reuse, VerifyError, VerifyRun,
+    ProofCache, ProofStore, ProverOptions, ResidentProgram, Reuse, VerifyError, VerifyRun,
 };
+
+use crate::lru::Lru;
+
+/// How many programs an [`Env`] keeps resident, and how many per-program
+/// proof caches it keeps; the least recently used entry goes first.
+/// Sixteen holds the seven Figure 6 kernels and the four §6.3 mutants with
+/// room to spare, at 120–240 KB per resident program (mostly the
+/// abstraction's per-path symbolic states).
+pub const RESIDENT_CAPACITY: usize = 16;
+
+/// A resident-table key: program name and exact source text.
+type SourceKey = (String, String);
 
 /// Why a session could not run to completion (as opposed to per-property
 /// proof failures, which are reported inside [`SessionReport`]).
@@ -137,7 +149,7 @@ pub struct SessionConfig {
 }
 
 /// Shared state of one or many sessions: options, the cross-property
-/// proof caches, the store handle and the budget.
+/// proof caches, the resident programs, the store handle and the budget.
 ///
 /// The term interner and the entailment memo are process-global by
 /// construction, so every [`Env`] shares them implicitly. The
@@ -147,13 +159,21 @@ pub struct SessionConfig {
 /// would be wrong — an env shares each program's cache across its
 /// properties and across repeated sessions (the watch loop), never
 /// across distinct programs.
+///
+/// Resident programs are keyed by program name and exact source text,
+/// compared in full: a request whose source is byte-identical to an
+/// earlier one reuses that request's checked program and abstraction
+/// ([`VerifySession::verify_source`]). Both tables hold at most
+/// [`RESIDENT_CAPACITY`] entries.
 #[derive(Debug)]
 pub struct Env {
     /// Prover configuration, with the session budget installed.
     pub options: ProverOptions,
     /// Per-program cross-property proof caches, keyed by the program's
     /// canonical content fingerprint.
-    caches: RwLock<HashMap<Fp, Arc<ProofCache>>>,
+    caches: Mutex<Lru<Fp, Arc<ProofCache>>>,
+    /// Type-checked programs and their abstractions, by name and source.
+    resident: Mutex<Lru<SourceKey, Arc<ResidentProgram>>>,
     /// Proof store, when persistence is configured. Behind a lock so the
     /// watch loop can detach it on repeated I/O failure (degraded mode)
     /// and re-attach it on recovery without rebuilding the env.
@@ -194,7 +214,8 @@ impl Env {
         options.budget = budget.clone();
         Ok(Env {
             options,
-            caches: RwLock::new(HashMap::new()),
+            caches: Mutex::new(Lru::new(RESIDENT_CAPACITY)),
+            resident: Mutex::new(Lru::new(RESIDENT_CAPACITY)),
             store: RwLock::new(store),
             budget,
         })
@@ -228,18 +249,50 @@ impl Env {
     /// The proof cache for the program with canonical fingerprint `fp`
     /// (created on first use). Repeated sessions over the same program —
     /// watch iterations, batch retries — share one cache; distinct
-    /// programs never do.
+    /// programs never do. An evicted program starts over with an empty
+    /// cache, which costs time but never changes a certificate.
     pub fn cache_for(&self, fp: Fp) -> Arc<ProofCache> {
-        if let Some(cache) = self.caches.read().expect("cache map poisoned").get(&fp) {
-            return Arc::clone(cache);
-        }
-        Arc::clone(
-            self.caches
-                .write()
-                .expect("cache map poisoned")
-                .entry(fp)
-                .or_default(),
-        )
+        self.caches
+            .lock()
+            .expect("cache map poisoned")
+            .get_or_insert(|k| *k == fp, || (fp, Arc::default()))
+    }
+
+    /// Proof caches currently kept (at most [`RESIDENT_CAPACITY`]).
+    pub fn cache_count(&self) -> usize {
+        self.caches.lock().expect("cache map poisoned").len()
+    }
+
+    /// The resident program named `name` with exactly the source `src`.
+    pub fn resident(&self, name: &str, src: &str) -> Option<Arc<ResidentProgram>> {
+        self.resident
+            .lock()
+            .expect("resident table poisoned")
+            .get(|(n, s)| n == name && s == src)
+    }
+
+    /// Makes `checked` — the program `src` under `name` — resident and
+    /// returns the table's entry. When another session made the same
+    /// source resident first, that entry wins and `checked` is dropped.
+    pub fn make_resident(
+        &self,
+        name: &str,
+        src: &str,
+        checked: CheckedProgram,
+    ) -> Arc<ResidentProgram> {
+        let program = ResidentProgram::new(checked, &self.options);
+        self.resident
+            .lock()
+            .expect("resident table poisoned")
+            .get_or_insert(
+                |(n, s)| n == name && s == src,
+                || ((name.to_owned(), src.to_owned()), Arc::new(program)),
+            )
+    }
+
+    /// Programs currently resident (at most [`RESIDENT_CAPACITY`]).
+    pub fn resident_count(&self) -> usize {
+        self.resident.lock().expect("resident table poisoned").len()
     }
 }
 
@@ -561,34 +614,67 @@ impl VerifySession {
     }
 
     /// Runs the pipeline on in-memory source: `Parse` through `Report`.
+    /// A source already resident in the env skips parsing, type checking
+    /// and the abstraction build (see [`VerifySession::load_source`]).
     pub fn verify_source(
         &self,
         name: &str,
         src: &str,
         sink: &dyn Instrument,
     ) -> Result<SessionReport, SessionError> {
-        let parse_start = Instant::now();
-        sink.event(&Event::StageStart {
-            stage: Stage::Parse,
-        });
+        let (program, _) = self.load_source(name, src, sink)?;
+        self.verify_resident(&program, sink)
+    }
+
+    /// `Parse → Typecheck` through the env's resident table: returns the
+    /// resident program for `name` and exactly `src`, and whether it was
+    /// resident already. A miss parses, type-checks and makes the result
+    /// resident; a source that fails either stage is never resident.
+    ///
+    /// Both stages emit their start and finish events on a hit too, so
+    /// event counts stay a pure function of the input.
+    pub fn load_source(
+        &self,
+        name: &str,
+        src: &str,
+        sink: &dyn Instrument,
+    ) -> Result<(Arc<ResidentProgram>, bool), SessionError> {
+        let start = |stage| {
+            sink.event(&Event::StageStart { stage });
+            Instant::now()
+        };
+        let finish = |stage, started| {
+            sink.event(&Event::StageFinish {
+                stage,
+                wall_ms: ms_since(started),
+            });
+        };
+        let parse_start = start(Stage::Parse);
+        if let Some(program) = self.env.resident(name, src) {
+            finish(Stage::Parse, parse_start);
+            finish(Stage::Typecheck, start(Stage::Typecheck));
+            return Ok((program, true));
+        }
         let program = reflex_parser::parse_program(name, src)
             .map_err(|e| SessionError::Parse(e.to_string()))?;
-        sink.event(&Event::StageFinish {
-            stage: Stage::Parse,
-            wall_ms: ms_since(parse_start),
-        });
+        finish(Stage::Parse, parse_start);
 
-        let typecheck_start = Instant::now();
-        sink.event(&Event::StageStart {
-            stage: Stage::Typecheck,
-        });
+        let typecheck_start = start(Stage::Typecheck);
         let checked =
             reflex_typeck::check(&program).map_err(|e| SessionError::Typecheck(e.to_string()))?;
-        sink.event(&Event::StageFinish {
-            stage: Stage::Typecheck,
-            wall_ms: ms_since(typecheck_start),
-        });
-        self.verify_checked(&checked, sink)
+        let program = self.env.make_resident(name, src, checked);
+        finish(Stage::Typecheck, typecheck_start);
+        Ok((program, false))
+    }
+
+    /// Runs `Plan` through `Report` on a resident program, over the
+    /// abstraction it keeps (built here on its first use).
+    pub fn verify_resident(
+        &self,
+        program: &ResidentProgram,
+        sink: &dyn Instrument,
+    ) -> Result<SessionReport, SessionError> {
+        self.run(program.checked(), Some(program), None, sink)
     }
 
     /// Runs `Plan` through `Report` on an already-checked program.
@@ -597,7 +683,7 @@ impl VerifySession {
         checked: &CheckedProgram,
         sink: &dyn Instrument,
     ) -> Result<SessionReport, SessionError> {
-        self.run(checked, None, sink)
+        self.run(checked, None, None, sink)
     }
 
     /// Runs `Plan` through `Report`, reusing `previous` certificates from
@@ -608,14 +694,16 @@ impl VerifySession {
         previous: &[(String, Certificate)],
         sink: &dyn Instrument,
     ) -> Result<SessionReport, SessionError> {
-        self.run(checked, Some(previous), sink)
+        self.run(checked, None, Some(previous), sink)
     }
 
     /// The `Plan → Prove → Persist → Report` core every entry point above
-    /// funnels into.
+    /// funnels into. `resident`, when given, is `checked`'s resident entry,
+    /// whose abstraction the run uses instead of building one.
     fn run(
         &self,
         checked: &CheckedProgram,
+        resident: Option<&ResidentProgram>,
         previous: Option<&[(String, Certificate)]>,
         sink: &dyn Instrument,
     ) -> Result<SessionReport, SessionError> {
@@ -697,9 +785,11 @@ impl VerifySession {
         // This run's own counters, scoped over the whole Prove stage (the
         // engine's pool re-installs the scope on every worker), so a
         // session reports its own work alone even while other sessions
-        // share the process-global interner and memo.
+        // share the process-global interner and memo. A resident program's
+        // first run counts the abstraction build, as a fresh run does.
         let counters = reflex_symbolic::SymSessionStats::new();
         let report = reflex_symbolic::with_session_stats(Arc::clone(&counters), || {
+            let abstraction = resident.map(ResidentProgram::abstraction);
             reverify_core(
                 checked,
                 options,
@@ -709,6 +799,7 @@ impl VerifySession {
                     cache: Some(&cache),
                     checks,
                     observer: Some(&observe),
+                    abstraction: abstraction.as_ref(),
                 },
             )
         })?;

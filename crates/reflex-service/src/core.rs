@@ -37,8 +37,10 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use reflex_driver::{Env, Instrument, SessionConfig, SessionError, VerifySession, WatchSession};
-use reflex_verify::{Clock, ProofBudget, ProverOptions};
+use reflex_driver::{
+    Env, Instrument, NullSink, SessionConfig, SessionError, VerifySession, WatchSession,
+};
+use reflex_verify::{Clock, ProofBudget, ProverOptions, ResidentProgram};
 
 use crate::protocol::{CheckSummary, Reply, Request, StatsSnapshot};
 
@@ -287,6 +289,11 @@ pub struct ServiceStats {
     pub reaped_connections: AtomicU64,
     /// Transient `accept()` errors survived by the listener loop.
     pub accept_errors: AtomicU64,
+    /// Check and verify requests whose source was already resident.
+    pub resident_hits: AtomicU64,
+    /// Check and verify requests that parsed and type-checked their
+    /// source (failures included).
+    pub resident_misses: AtomicU64,
 }
 
 impl ServiceStats {
@@ -305,6 +312,8 @@ impl ServiceStats {
             requests_executed: self.requests_executed.load(Ordering::Relaxed),
             reaped_connections: self.reaped_connections.load(Ordering::Relaxed),
             accept_errors: self.accept_errors.load(Ordering::Relaxed),
+            resident_hits: self.resident_hits.load(Ordering::Relaxed),
+            resident_misses: self.resident_misses.load(Ordering::Relaxed),
         }
     }
 }
@@ -830,11 +839,9 @@ fn execute(
     match request {
         Request::Ping => Ok(Reply::Pong),
         Request::Check { name, source } => {
-            let program = reflex_parser::parse_program(&name, &source)
-                .map_err(|e| ServiceError::Session(SessionError::Parse(e.to_string())))?;
-            let checked = reflex_typeck::check(&program)
-                .map_err(|e| ServiceError::Session(SessionError::Typecheck(e.to_string())))?;
-            let p = checked.program();
+            let session = VerifySession::with_env(Arc::clone(&inner.env));
+            let program = load(inner, &session, &name, &source, &NullSink)?;
+            let p = program.checked().program();
             Ok(Reply::Checked(CheckSummary {
                 program: p.name.clone(),
                 components: p.components.len() as u64,
@@ -856,12 +863,35 @@ fn execute(
                 .fetch_add(1, Ordering::Relaxed);
             let session = VerifySession::with_env_budget(Arc::clone(&inner.env), Some(budget))
                 .with_property(property);
+            let program = load(inner, &session, &name, &source, sink)?;
             let report = session
-                .verify_source(&name, &source, sink)
+                .verify_resident(&program, sink)
                 .map_err(ServiceError::Session)?;
             Ok(Reply::Verify(Box::new(report)))
         }
     }
+}
+
+/// Looks `source` up in the env's resident table (parsing and
+/// type-checking it on a miss) and counts the hit or miss.
+fn load(
+    inner: &Inner,
+    session: &VerifySession,
+    name: &str,
+    source: &str,
+    sink: &dyn Instrument,
+) -> Result<Arc<ResidentProgram>, ServiceError> {
+    let loaded = session.load_source(name, source, sink);
+    let hit = matches!(loaded, Ok((_, true)));
+    let counter = if hit {
+        &inner.stats.resident_hits
+    } else {
+        &inner.stats.resident_misses
+    };
+    counter.fetch_add(1, Ordering::Relaxed);
+    loaded
+        .map(|(program, _)| program)
+        .map_err(ServiceError::Session)
 }
 
 /// The job's effective budget: its own asks clamped to the per-client

@@ -39,8 +39,9 @@ pub const MAGIC: u32 = 0x5258_4431;
 /// Version 2 added [`CANCEL`], per-request deadlines and idempotency
 /// keys on `Verify`, the overload/cancel/deadline [`ERROR`] codes
 /// (with an optional `retry_after_ms` hint), and the extended
+/// [`StatsSnapshot`]. Version 3 added the resident-program counters to
 /// [`StatsSnapshot`].
-pub const VERSION: u16 = 2;
+pub const VERSION: u16 = 3;
 
 /// Upper bound on `len` (kind + request id + payload), 8 MiB. A frame
 /// announcing more is answered with [`ERR_OVERSIZED`] and the
@@ -757,6 +758,12 @@ pub struct StatsSnapshot {
     pub reaped_connections: u64,
     /// Transient `accept()` errors survived by the listener loop.
     pub accept_errors: u64,
+    /// Check and verify requests whose exact source was resident, so
+    /// they skipped parsing, type checking and the abstraction build.
+    pub resident_hits: u64,
+    /// Check and verify requests that parsed and type-checked their
+    /// source.
+    pub resident_misses: u64,
 }
 
 /// Encodes a [`StatsSnapshot`] as a [`STATS_REPLY`] payload.
@@ -774,6 +781,8 @@ pub fn encode_stats(s: &StatsSnapshot) -> Vec<u8> {
     e.u64(s.requests_executed);
     e.u64(s.reaped_connections);
     e.u64(s.accept_errors);
+    e.u64(s.resident_hits);
+    e.u64(s.resident_misses);
     e.buf
 }
 
@@ -793,6 +802,8 @@ pub fn decode_stats(payload: &[u8]) -> Option<StatsSnapshot> {
         requests_executed: d.u64()?,
         reaped_connections: d.u64()?,
         accept_errors: d.u64()?,
+        resident_hits: d.u64()?,
+        resident_misses: d.u64()?,
     };
     d.finish()?;
     Some(s)

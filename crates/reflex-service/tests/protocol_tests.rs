@@ -149,8 +149,13 @@ fn stats_error_and_hello_payloads_roundtrip() {
         requests_executed: 10,
         reaped_connections: 11,
         accept_errors: 12,
+        resident_hits: 13,
+        resident_misses: 14,
     };
-    assert_eq!(decode_stats(&encode_stats(&stats)), Some(stats));
+    let encoded = encode_stats(&stats);
+    assert_eq!(decode_stats(&encoded), Some(stats));
+    // Every field is on the wire: a payload one counter short is refused.
+    assert_eq!(decode_stats(&encoded[..encoded.len() - 8]), None);
 
     let (code, message) = decode_error(&encode_error(6, "queue full")).expect("error decodes");
     assert_eq!((code, message.as_str()), (6, "queue full"));

@@ -1010,3 +1010,211 @@ fn overlapping_sessions_count_only_their_own_work() {
     assert!(alone.iter().all(|(paths, _)| *paths > 0));
     assert_eq!(together, alone);
 }
+
+fn verify_reply(reply: Result<Reply, ServiceError>) -> Box<reflex_driver::SessionReport> {
+    match reply {
+        Ok(Reply::Verify(report)) => report,
+        other => panic!("expected a verify reply, got {other:?}"),
+    }
+}
+
+/// Each outcome as `(property, certificate bytes)`, or the failure text
+/// for an unproved property.
+fn outcome_bytes(report: &reflex_driver::SessionReport) -> Vec<(String, Vec<u8>)> {
+    report
+        .outcomes
+        .iter()
+        .map(|(name, outcome)| match outcome.certificate() {
+            Some(cert) => (name.clone(), certificate_to_bytes(cert)),
+            None => (name.clone(), format!("{outcome:?}").into_bytes()),
+        })
+        .collect()
+}
+
+/// `count` small generated kernels with pairwise distinct sources.
+fn synth_kernels(count: u64) -> Vec<reflex_kernels::synth::SynthKernel> {
+    use reflex_kernels::synth::{generate, SynthConfig};
+    (0..count)
+        .map(|seed| {
+            let mut kernel = generate(&SynthConfig {
+                components: 3,
+                handlers: 1,
+                properties: 3,
+                high_components: 0,
+                seed,
+            });
+            kernel.name = format!("synth-{seed}");
+            kernel
+        })
+        .collect()
+}
+
+#[test]
+fn a_check_then_a_verify_of_one_source_is_one_miss_then_one_hit() {
+    let core = single_worker_core(ServiceConfig::default());
+    let check = Request::Check {
+        name: "car".into(),
+        source: car::SOURCE.into(),
+    };
+    assert!(matches!(
+        core.request(0, check, Arc::new(NullSink)),
+        Ok(Reply::Checked(_))
+    ));
+    let report = verify_reply(core.request(0, car_verify(), Arc::new(NullSink)));
+    assert_eq!(report.failures(), 0, "{}", report.render_properties());
+    let stats = core.stats().snapshot();
+    assert_eq!((stats.resident_misses, stats.resident_hits), (1, 1));
+    assert_eq!(core.env().resident_count(), 1);
+    core.shutdown();
+}
+
+/// A storeless daemon fed a stream of distinct programs keeps a bounded
+/// number of proof caches and resident programs, and a program whose
+/// cache was evicted still verifies to the very same certificates.
+#[test]
+fn forty_programs_keep_at_most_sixteen_proof_caches() {
+    use reflex_driver::RESIDENT_CAPACITY;
+    let kernels = synth_kernels(40);
+    let fingerprints: std::collections::BTreeSet<_> = kernels
+        .iter()
+        .map(|k| k.checked().fingerprints().program)
+        .collect();
+    assert!(
+        fingerprints.len() > RESIDENT_CAPACITY,
+        "the stream must overflow the bound"
+    );
+    let core = single_worker_core(ServiceConfig::default());
+    let verify = |k: &reflex_kernels::synth::SynthKernel| {
+        verify_reply(core.request(
+            0,
+            verify_request(&k.name, &k.source, None),
+            Arc::new(NullSink),
+        ))
+    };
+    let first = outcome_bytes(&verify(&kernels[0]));
+    assert!(!first.is_empty());
+    for kernel in &kernels[1..] {
+        let report = verify(kernel);
+        assert_eq!(report.failures(), 0, "{}", report.render_properties());
+        assert!(core.env().cache_count() <= RESIDENT_CAPACITY);
+        assert!(core.env().resident_count() <= RESIDENT_CAPACITY);
+    }
+    assert_eq!(core.env().cache_count(), RESIDENT_CAPACITY);
+    assert_eq!(core.env().resident_count(), RESIDENT_CAPACITY);
+    assert_eq!(outcome_bytes(&verify(&kernels[0])), first);
+    assert_eq!(core.stats().snapshot().resident_misses, 41);
+    core.shutdown();
+}
+
+#[test]
+fn a_seventeenth_program_evicts_the_first() {
+    let kernels = synth_kernels(17);
+    let core = single_worker_core(ServiceConfig::default());
+    let verify = |k: &reflex_kernels::synth::SynthKernel| {
+        outcome_bytes(&verify_reply(core.request(
+            0,
+            verify_request(&k.name, &k.source, None),
+            Arc::new(NullSink),
+        )))
+    };
+    let first = verify(&kernels[0]);
+    for kernel in &kernels[1..] {
+        verify(kernel);
+    }
+    assert_eq!(core.env().resident_count(), 16);
+    assert_eq!(core.stats().snapshot().resident_misses, 17);
+    // The first program was evicted: its next request is a miss that
+    // answers exactly as its first request did.
+    assert_eq!(verify(&kernels[0]), first);
+    let stats = core.stats().snapshot();
+    assert_eq!((stats.resident_misses, stats.resident_hits), (18, 0));
+    // The most recently used programs are still resident.
+    verify(&kernels[16]);
+    assert_eq!(core.stats().snapshot().resident_hits, 1);
+    core.shutdown();
+}
+
+#[test]
+fn one_source_under_two_names_is_two_resident_programs() {
+    let core = single_worker_core(ServiceConfig::default());
+    for name in ["car", "car-copy", "car"] {
+        let check = Request::Check {
+            name: name.into(),
+            source: car::SOURCE.into(),
+        };
+        match core.request(0, check, Arc::new(NullSink)) {
+            Ok(Reply::Checked(summary)) => assert_eq!(summary.program, name),
+            other => panic!("expected a check reply, got {other:?}"),
+        }
+    }
+    assert_eq!(core.env().resident_count(), 2);
+    let stats = core.stats().snapshot();
+    assert_eq!((stats.resident_misses, stats.resident_hits), (2, 1));
+    core.shutdown();
+}
+
+#[test]
+fn sources_that_fail_to_load_are_never_resident() {
+    let core = single_worker_core(ServiceConfig::default());
+    let unparsable = "components { Broken";
+    let ill_typed = car::SOURCE.replacen("crashed = true;", "crashed = 7;", 1);
+    assert_ne!(ill_typed, car::SOURCE, "the seeded type error applies");
+    for source in [unparsable, ill_typed.as_str()] {
+        let requests = [
+            Request::Check {
+                name: "bad".into(),
+                source: source.into(),
+            },
+            verify_request("bad", source, None),
+            verify_request("bad", source, None),
+        ];
+        let messages: Vec<String> = requests
+            .into_iter()
+            .map(
+                |request| match core.request(0, request, Arc::new(NullSink)) {
+                    Err(ServiceError::Session(e)) => e.to_string(),
+                    other => panic!("expected a session error, got {other:?}"),
+                },
+            )
+            .collect();
+        assert!(messages.iter().all(|m| *m == messages[0]), "{messages:?}");
+        assert_eq!(core.env().resident_count(), 0);
+    }
+    let stats = core.stats().snapshot();
+    assert_eq!((stats.resident_misses, stats.resident_hits), (6, 0));
+    core.shutdown();
+}
+
+/// Two workers that both miss on one new program both answer with the
+/// certificates a one-shot session produces, and one entry stays.
+#[test]
+fn two_workers_racing_on_one_new_program_both_answer_correctly() {
+    let baseline = baseline_certificates();
+    let core = ServiceCore::start(ServiceConfig {
+        jobs: 1,
+        workers: 2,
+        ..ServiceConfig::default()
+    })
+    .expect("core starts");
+    let barrier = Arc::new(Barrier::new(2));
+    let tickets: Vec<_> = (0u64..2)
+        .map(|client| {
+            let sink = BarrierSink {
+                barrier: Arc::clone(&barrier),
+                entered: AtomicBool::new(false),
+            };
+            core.submit(client, client + 1, car_verify(), Arc::new(sink))
+                .expect("submits")
+        })
+        .collect();
+    for ticket in tickets {
+        let answer: BTreeMap<String, Vec<u8>> = outcome_bytes(&verify_reply(ticket.wait()))
+            .into_iter()
+            .collect();
+        assert_eq!(answer, baseline);
+    }
+    let stats = core.stats().snapshot();
+    assert_eq!(stats.resident_misses + stats.resident_hits, 2);
+    assert_eq!(core.env().resident_count(), 1);
+    core.shutdown();
+}

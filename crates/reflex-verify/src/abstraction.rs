@@ -1,6 +1,7 @@
 //! The cached behavioral abstraction: init paths and all exchange cases.
 
 use std::collections::BTreeMap;
+use std::sync::{Arc, OnceLock};
 
 use reflex_ast::{BinOp, Ty, UnOp, Value};
 use reflex_symbolic::{Evaluator, Exchange, Path, SymCtx, SymState, SymVar, Term};
@@ -34,37 +35,31 @@ pub struct World {
 /// The symbolic behavioral abstraction of a program, computed once and
 /// shared by every property proof (one of the reasons re-verification after
 /// program edits is fast).
+///
+/// The worlds sit behind an [`Arc`] so a [`ResidentProgram`] can hand out
+/// views of the one abstraction it keeps. The only ways to obtain one are
+/// [`Abstraction::build`] and [`ResidentProgram::abstraction`], so an
+/// abstraction always belongs to the program it was built from — the
+/// checker trusts it.
 #[derive(Debug)]
 pub struct Abstraction<'p> {
     checked: &'p CheckedProgram,
-    /// The worlds, one per init path.
-    pub worlds: Vec<World>,
+    worlds: Arc<Vec<World>>,
 }
 
 impl<'p> Abstraction<'p> {
     /// Builds the abstraction by symbolically evaluating init and every
     /// exchange case.
     pub fn build(checked: &'p CheckedProgram, options: &ProverOptions) -> Abstraction<'p> {
-        let mut evaluator = Evaluator::new(checked);
-        evaluator.prune = options.prune_paths;
-        let mut ctx = SymCtx::new();
-        let init_paths = evaluator.eval_init(&mut ctx);
-        let mut worlds = Vec::with_capacity(init_paths.len());
-        for init in init_paths {
-            let pre = evaluator.generic_pre_state(&mut ctx, &init.state);
-            let mut exchanges = Vec::new();
-            for case in checked.program().exchange_cases() {
-                exchanges.push(evaluator.eval_exchange(&mut ctx, &pre, case.ctype, case.msg));
-            }
-            let range_assumptions = compute_ranges(checked, &init.state, &pre, &exchanges);
-            worlds.push(World {
-                init,
-                pre,
-                exchanges,
-                range_assumptions,
-            });
+        Abstraction {
+            checked,
+            worlds: Arc::new(build_worlds(checked, options.prune_paths)),
         }
-        Abstraction { checked, worlds }
+    }
+
+    /// The worlds, one per init path.
+    pub fn worlds(&self) -> &[World] {
+        &self.worlds
     }
 
     /// The checked program.
@@ -82,7 +77,7 @@ impl<'p> Abstraction<'p> {
     pub fn ranges_fp(&self) -> reflex_ast::Fp {
         let mut h = reflex_ast::fingerprint::FpHasher::new();
         h.write_str("ranges");
-        for world in &self.worlds {
+        for world in self.worlds() {
             h.write_str("world");
             for (term, pol) in &world.range_assumptions {
                 h.write_str(&term.to_string());
@@ -99,6 +94,73 @@ impl<'p> Abstraction<'p> {
             .iter()
             .map(|w| w.exchanges.iter().map(|e| e.paths.len()).sum::<usize>() + 1)
             .sum()
+    }
+}
+
+/// Symbolically evaluates init and every exchange case of `checked`.
+/// Reads no budget and no option other than `prune`.
+fn build_worlds(checked: &CheckedProgram, prune: bool) -> Vec<World> {
+    let mut evaluator = Evaluator::new(checked);
+    evaluator.prune = prune;
+    let mut ctx = SymCtx::new();
+    let init_paths = evaluator.eval_init(&mut ctx);
+    let mut worlds = Vec::with_capacity(init_paths.len());
+    for init in init_paths {
+        let pre = evaluator.generic_pre_state(&mut ctx, &init.state);
+        let mut exchanges = Vec::new();
+        for case in checked.program().exchange_cases() {
+            exchanges.push(evaluator.eval_exchange(&mut ctx, &pre, case.ctype, case.msg));
+        }
+        let range_assumptions = compute_ranges(checked, &init.state, &pre, &exchanges);
+        worlds.push(World {
+            init,
+            pre,
+            exchanges,
+            range_assumptions,
+        });
+    }
+    worlds
+}
+
+/// A type-checked program that keeps its abstraction: what a long-lived
+/// service holds per program so a repeated request skips parsing, type
+/// checking and the abstraction build.
+///
+/// The abstraction is built on the first [`ResidentProgram::abstraction`]
+/// call and kept; concurrent first calls build it once. It depends only on
+/// the program and `prune_paths`, both fixed at construction.
+#[derive(Debug)]
+pub struct ResidentProgram {
+    checked: CheckedProgram,
+    prune_paths: bool,
+    worlds: OnceLock<Arc<Vec<World>>>,
+}
+
+impl ResidentProgram {
+    /// Takes ownership of `checked`; the abstraction will be built with
+    /// `options.prune_paths`.
+    pub fn new(checked: CheckedProgram, options: &ProverOptions) -> ResidentProgram {
+        ResidentProgram {
+            checked,
+            prune_paths: options.prune_paths,
+            worlds: OnceLock::new(),
+        }
+    }
+
+    /// The checked program.
+    pub fn checked(&self) -> &CheckedProgram {
+        &self.checked
+    }
+
+    /// The program's abstraction, built on first use.
+    pub fn abstraction(&self) -> Abstraction<'_> {
+        let worlds = self
+            .worlds
+            .get_or_init(|| Arc::new(build_worlds(&self.checked, self.prune_paths)));
+        Abstraction {
+            checked: &self.checked,
+            worlds: Arc::clone(worlds),
+        }
     }
 }
 
@@ -345,8 +407,8 @@ mod tests {
     use reflex_ast::build::ProgramBuilder;
     use reflex_ast::Expr;
 
-    #[test]
-    fn builds_worlds_and_exchanges() {
+    /// Two component types, two messages, a counter bounded by a guard.
+    fn sample() -> CheckedProgram {
         let program = ProgramBuilder::new("t")
             .component("C", "c.py", [])
             .component("D", "d.py", [])
@@ -366,10 +428,15 @@ mod tests {
                 );
             })
             .finish();
-        let checked = reflex_typeck::check(&program).expect("well-formed");
+        reflex_typeck::check(&program).expect("well-formed")
+    }
+
+    #[test]
+    fn builds_worlds_and_exchanges() {
+        let checked = sample();
         let abs = Abstraction::build(&checked, &ProverOptions::default());
-        assert_eq!(abs.worlds.len(), 1);
-        let w = &abs.worlds[0];
+        assert_eq!(abs.worlds().len(), 1);
+        let w = &abs.worlds()[0];
         assert_eq!(w.exchanges.len(), 4); // 2 comp types × 2 msgs
         let cm = w
             .exchanges
@@ -387,5 +454,19 @@ mod tests {
         assert_eq!(dn.paths.len(), 1);
         assert!(dn.paths[0].actions.is_empty());
         assert!(!dn.explicit);
+    }
+
+    #[test]
+    fn a_resident_program_builds_its_abstraction_once() {
+        let options = ProverOptions::default();
+        let checked = sample();
+        let fresh = Abstraction::build(&checked, &options);
+        let resident = ResidentProgram::new(sample(), &options);
+        let first = resident.abstraction();
+        let second = resident.abstraction();
+        assert!(std::ptr::eq(first.worlds(), second.worlds()));
+        assert!(std::ptr::eq(first.checked(), resident.checked()));
+        assert_eq!(first.ranges_fp(), fresh.ranges_fp());
+        assert_eq!(first.path_count(), fresh.path_count());
     }
 }

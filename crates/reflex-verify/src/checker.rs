@@ -229,10 +229,10 @@ fn check_trace_cert_core(
     }
 
     // 2. Base cases.
-    if cert.base.len() != abs.worlds.len() {
+    if cert.base.len() != abs.worlds().len() {
         return Err(reject("base", "wrong number of base cases"));
     }
-    for (wi, (world, path_cert)) in abs.worlds.iter().zip(&cert.base).enumerate() {
+    for (wi, (world, path_cert)) in abs.worlds().iter().zip(&cert.base).enumerate() {
         let actions: Vec<&SymAction> = world.init.actions.iter().collect();
         check_segment(
             cert,
@@ -247,12 +247,12 @@ fn check_trace_cert_core(
     }
 
     // 3. Inductive cases, in (world × exchange) order.
-    let expected_cases: usize = abs.worlds.iter().map(|w| w.exchanges.len()).sum();
+    let expected_cases: usize = abs.worlds().iter().map(|w| w.exchanges.len()).sum();
     if cert.cases.len() != expected_cases {
         return Err(reject("cases", "wrong number of inductive cases"));
     }
     let mut case_iter = cert.cases.iter();
-    for (wi, world) in abs.worlds.iter().enumerate() {
+    for (wi, world) in abs.worlds().iter().enumerate() {
         for exchange in &world.exchanges {
             let case = case_iter.next().expect("length checked");
             let ctx = format!("world {wi}, case {}:{}", exchange.ctype, exchange.msg);
@@ -630,10 +630,10 @@ fn check_invariant(
     }
 
     // Base cases.
-    if inv.base.len() != abs.worlds.len() {
+    if inv.base.len() != abs.worlds().len() {
         return Err(reject(&ctx0, "wrong number of base cases"));
     }
-    for (wi, (world, just)) in abs.worlds.iter().zip(&inv.base).enumerate() {
+    for (wi, (world, just)) in abs.worlds().iter().zip(&inv.base).enumerate() {
         let ctx = format!("{ctx0}, base {wi}");
         let post = inv.guard.instantiate(&world.init.state);
         let mut solver = Solver::with_assumptions(world.init.condition.iter().chain(post.iter()));
@@ -676,7 +676,7 @@ fn check_invariant(
     }
 
     // Inductive cases.
-    let expected_cases: usize = abs.worlds.iter().map(|w| w.exchanges.len()).sum();
+    let expected_cases: usize = abs.worlds().iter().map(|w| w.exchanges.len()).sum();
     if inv.cases.len() != expected_cases {
         return Err(reject(&ctx0, "wrong number of inductive cases"));
     }
@@ -696,7 +696,7 @@ fn check_invariant(
         out
     };
     let mut case_iter = inv.cases.iter();
-    for (wi, world) in abs.worlds.iter().enumerate() {
+    for (wi, world) in abs.worlds().iter().enumerate() {
         for exchange in &world.exchanges {
             let case = case_iter.next().expect("length checked");
             let ctx = format!(

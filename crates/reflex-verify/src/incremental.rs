@@ -341,6 +341,10 @@ pub struct VerifyRun<'a> {
     pub checks: Checks,
     /// Called as each property's outcome is decided.
     pub observer: Option<PropObserver<'a>>,
+    /// The program's abstraction, when the caller keeps one (a
+    /// [`crate::ResidentProgram`]'s); `None` builds it for this run. It
+    /// must be the abstraction of the program being verified.
+    pub abstraction: Option<&'a Abstraction<'a>>,
 }
 
 /// The verification engine: the one place proof work fans out.
@@ -388,7 +392,20 @@ pub fn reverify_core(
         }
         None => new.program().properties.iter().collect(),
     };
-    let abs = Abstraction::build(new, options);
+    let built;
+    let abs = match run.abstraction {
+        Some(abs) => {
+            assert!(
+                std::ptr::eq(abs.checked(), new),
+                "a prebuilt abstraction must be the verified program's own"
+            );
+            abs
+        }
+        None => {
+            built = Abstraction::build(new, options);
+            &built
+        }
+    };
     let plans = props
         .into_iter()
         .map(|p| (p, graph.plan(&p.name, new, abs.ranges_fp())))
@@ -402,7 +419,7 @@ pub fn reverify_core(
         }
     };
     let engine = Engine {
-        abs: &abs,
+        abs,
         options,
         graph: &graph,
         cache,

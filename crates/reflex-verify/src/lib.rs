@@ -61,7 +61,7 @@ pub mod store;
 mod trace_prover;
 pub mod vfs;
 
-pub use abstraction::{Abstraction, World};
+pub use abstraction::{Abstraction, ResidentProgram, World};
 pub use budget::{BudgetExceeded, ProofBudget};
 pub use cache::{CacheStats, ProofCache};
 pub use certificate::{Certificate, DepSet};

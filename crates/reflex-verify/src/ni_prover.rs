@@ -86,7 +86,7 @@ pub(crate) fn prepare_ni<'a, 'p>(
     };
     let sigma0 = prover.sigma0();
     let units: Vec<(usize, usize)> = abs
-        .worlds
+        .worlds()
         .iter()
         .enumerate()
         .flat_map(|(wi, world)| (0..world.exchanges.len()).map(move |ei| (wi, ei)))
@@ -107,7 +107,7 @@ impl<'a, 'p> PreparedNi<'a, 'p> {
     /// Discharges obligation `u` (pure; callable from any worker).
     pub(crate) fn run_unit(&self, u: usize) -> Result<NiCaseCert, ProofFailure> {
         let (wi, ei) = self.units[u];
-        let world = &self.prover.abs.worlds[wi];
+        let world = &self.prover.abs.worlds()[wi];
         self.prover
             .check_case(wi, world, &world.exchanges[ei], &self.sigma0)
     }
@@ -235,7 +235,7 @@ impl<'a, 'p> NiProver<'a, 'p> {
         // obligations the same way, so budget ticks agree between the two.
         let cases: Vec<Result<NiCaseCert, ProofFailure>> = self
             .abs
-            .worlds
+            .worlds()
             .iter()
             .enumerate()
             .flat_map(|(wi, world)| {

@@ -88,6 +88,7 @@ use crate::codec::{dec_certificate, enc_certificate, Dec, Enc};
 use crate::incremental::IncrementalReport;
 use crate::options::{Outcome, ProverOptions, VerifyError};
 use crate::vfs::{RealFs, VerifyFs};
+use crate::Abstraction;
 
 /// On-disk format version; bumped whenever the encoding changes. Entries
 /// written by any other version read as misses.
@@ -1293,6 +1294,9 @@ impl ProofStore {
         }
 
         // Validates one decoded payload; Err is the quarantine reason.
+        // Every certificate is checked over one abstraction of the
+        // program, built when the first one needs it.
+        let abs = std::cell::OnceCell::new();
         let check_payload =
             |key: Key, payload: &[u8], rejected: &mut usize| -> Result<(), String> {
                 let Some(cert) = decode_cert_payload(payload) else {
@@ -1306,7 +1310,8 @@ impl ProofStore {
                                 cert.property()
                             ))
                         } else {
-                            crate::check_certificate(checked, &cert, options).map_err(|e| {
+                            let abs = abs.get_or_init(|| Abstraction::build(checked, options));
+                            crate::check_certificate_with(abs, &cert, options).map_err(|e| {
                                 *rejected += 1;
                                 format!("checker rejected: {e}")
                             })

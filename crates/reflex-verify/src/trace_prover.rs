@@ -124,8 +124,8 @@ pub(crate) fn prove_trace_partial(
     prior: &TraceCert,
     dirty: &std::collections::BTreeSet<(String, String)>,
 ) -> Outcome {
-    let expected: usize = abs.worlds.iter().map(|w| w.exchanges.len()).sum();
-    if prior.cases.len() != expected || prior.base.len() != abs.worlds.len() {
+    let expected: usize = abs.worlds().iter().map(|w| w.exchanges.len()).sum();
+    if prior.cases.len() != expected || prior.base.len() != abs.worlds().len() {
         // Structure drifted: partial splicing is meaningless; fall back to
         // a full proof.
         return prove_trace(abs, options, prop, tp, shared);
@@ -145,9 +145,9 @@ pub(crate) fn prove_trace_partial(
     let trigger = tp.trigger().clone();
     let mut cases = Vec::with_capacity(expected);
     let mut flat = 0usize;
-    for wi in 0..abs.worlds.len() {
-        for ei in 0..abs.worlds[wi].exchanges.len() {
-            let exchange = &abs.worlds[wi].exchanges[ei];
+    for wi in 0..abs.worlds().len() {
+        for ei in 0..abs.worlds()[wi].exchanges.len() {
+            let exchange = &abs.worlds()[wi].exchanges[ei];
             let key = (exchange.ctype.clone(), exchange.msg.clone());
             if dirty.contains(&key) {
                 match prover.prove_case_serial(wi, ei, &trigger) {
@@ -236,7 +236,7 @@ pub(crate) fn prepare_trace<'a, 'p>(
         shared,
     };
     let mut base = Vec::new();
-    for (wi, world) in abs.worlds.iter().enumerate() {
+    for (wi, world) in abs.worlds().iter().enumerate() {
         let location = format!("init path {wi}");
         if let Err(e) = crate::budget::tick_path(options, &location) {
             return TracePrep::Failed(e);
@@ -249,7 +249,7 @@ pub(crate) fn prepare_trace<'a, 'p>(
     }
     let trigger = tp.trigger().clone();
     let units: Vec<(usize, usize)> = abs
-        .worlds
+        .worlds()
         .iter()
         .enumerate()
         .flat_map(|(wi, world)| (0..world.exchanges.len()).map(move |ei| (wi, ei)))
@@ -271,7 +271,7 @@ impl<'a, 'p> PreparedTrace<'a, 'p> {
     /// Discharges obligation `u` (pure; callable from any worker).
     pub(crate) fn run_unit(&self, u: usize) -> Result<CaseCert, ProofFailure> {
         let (wi, ei) = self.units[u];
-        let exchange = &self.prover.abs.worlds[wi].exchanges[ei];
+        let exchange = &self.prover.abs.worlds()[wi].exchanges[ei];
         self.prover
             .check_case_witness_only(wi, exchange, &self.trigger)
     }
@@ -345,7 +345,7 @@ impl<'a, 'p> TraceProver<'a, 'p> {
 
     fn prove(mut self) -> Result<TraceCert, ProofFailure> {
         let mut base = Vec::new();
-        for (wi, world) in self.abs.worlds.iter().enumerate() {
+        for (wi, world) in self.abs.worlds().iter().enumerate() {
             let location = format!("init path {wi}");
             crate::budget::tick_path(self.options, &location)?;
             let actions: Vec<&SymAction> = world.init.actions.iter().collect();
@@ -365,8 +365,8 @@ impl<'a, 'p> TraceProver<'a, 'p> {
 
     fn prove_cases_serial(&mut self, trigger: &ActionPat) -> Result<Vec<CaseCert>, ProofFailure> {
         let mut cases = Vec::new();
-        for wi in 0..self.abs.worlds.len() {
-            for ei in 0..self.abs.worlds[wi].exchanges.len() {
+        for wi in 0..self.abs.worlds().len() {
+            for ei in 0..self.abs.worlds()[wi].exchanges.len() {
                 let case = self.prove_case_serial(wi, ei, trigger)?;
                 cases.push(case);
             }
@@ -382,7 +382,7 @@ impl<'a, 'p> TraceProver<'a, 'p> {
         ei: usize,
         trigger: &ActionPat,
     ) -> Result<CaseCert, ProofFailure> {
-        let world = &self.abs.worlds[wi];
+        let world = &self.abs.worlds()[wi];
         let exchange = &world.exchanges[ei];
         if self.options.syntactic_skip
             && !case_can_emit_match(self.abs.checked(), &exchange.ctype, &exchange.msg, trigger)
@@ -444,7 +444,7 @@ impl<'a, 'p> TraceProver<'a, 'p> {
                 paths: Vec::new(),
             });
         }
-        let world = &self.abs.worlds[wi];
+        let world = &self.abs.worlds()[wi];
         let mut paths = Vec::new();
         for (pi, path) in exchange.paths.iter().enumerate() {
             let location = format!(
@@ -1191,7 +1191,7 @@ impl<'a, 'p> TraceProver<'a, 'p> {
 
         // Base cases.
         let mut base = Vec::new();
-        for (wi, world) in self.abs.worlds.iter().enumerate() {
+        for (wi, world) in self.abs.worlds().iter().enumerate() {
             crate::budget::tick_path(self.options, location)?;
             let post = guard.instantiate(&world.init.state);
             let mut solver =
@@ -1237,7 +1237,7 @@ impl<'a, 'p> TraceProver<'a, 'p> {
 
         // Inductive cases.
         let mut cases = Vec::new();
-        for world in &self.abs.worlds {
+        for world in self.abs.worlds() {
             for exchange in &world.exchanges {
                 let emits = case_can_emit_match(
                     self.abs.checked(),

@@ -899,8 +899,11 @@ fn cmd_show(parsed: &cli::Parsed) -> Result<(), CliError> {
     let abs = reflex::verify::Abstraction::build(&checked, &options);
     println!(
         "\n// behavioral abstraction: {} world(s), {} exchange case(s), {} symbolic path(s)",
-        abs.worlds.len(),
-        abs.worlds.iter().map(|w| w.exchanges.len()).sum::<usize>(),
+        abs.worlds().len(),
+        abs.worlds()
+            .iter()
+            .map(|w| w.exchanges.len())
+            .sum::<usize>(),
         abs.path_count()
     );
     Ok(())
@@ -1210,7 +1213,8 @@ fn render_stats_snapshot(s: &StatsSnapshot, json: bool) -> String {
                 "\"rejected_busy\": {}, \"rejected_overloaded\": {}, ",
                 "\"cancelled\": {}, \"deadline_expired\": {}, ",
                 "\"protocol_errors\": {}, \"connections\": {}, ",
-                "\"reaped_connections\": {}, \"accept_errors\": {}}}"
+                "\"reaped_connections\": {}, \"accept_errors\": {}, ",
+                "\"resident_hits\": {}, \"resident_misses\": {}}}"
             ),
             s.requests_submitted,
             s.requests_served,
@@ -1223,7 +1227,9 @@ fn render_stats_snapshot(s: &StatsSnapshot, json: bool) -> String {
             s.protocol_errors,
             s.connections,
             s.reaped_connections,
-            s.accept_errors
+            s.accept_errors,
+            s.resident_hits,
+            s.resident_misses
         )
     } else {
         format!(
@@ -1232,7 +1238,8 @@ fn render_stats_snapshot(s: &StatsSnapshot, json: bool) -> String {
                 "{} busy-rejected, {} shed\n",
                 "cancelled: {} ({} deadline-expired)\n",
                 "protocol errors: {}\n",
-                "connections: {} ({} reaped, {} accept errors)"
+                "connections: {} ({} reaped, {} accept errors)\n",
+                "resident programs: {} hits, {} misses"
             ),
             s.requests_submitted,
             s.requests_served,
@@ -1245,7 +1252,9 @@ fn render_stats_snapshot(s: &StatsSnapshot, json: bool) -> String {
             s.protocol_errors,
             s.connections,
             s.reaped_connections,
-            s.accept_errors
+            s.accept_errors,
+            s.resident_hits,
+            s.resident_misses
         )
     }
 }

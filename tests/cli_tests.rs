@@ -443,9 +443,23 @@ fn daemon_serves_rx_client_over_a_unix_socket() {
     assert!(ok, "{stderr}");
     assert!(stdout.contains("properties"), "{stdout}");
 
+    // The verify reuses the program the check made resident.
+    let (ok, _, stderr) = rx(&["client", "--socket", sock, "verify", &kernel("car")]);
+    assert!(ok, "{stderr}");
+
     let (ok, stdout, _) = rx(&["client", "--socket", sock, "stats", "--json"]);
     assert!(ok);
     assert!(stdout.contains("\"requests_served\""), "{stdout}");
+    assert!(
+        stdout.contains("\"resident_hits\": 1, \"resident_misses\": 1"),
+        "{stdout}"
+    );
+    let (ok, stdout, _) = rx(&["client", "--socket", sock, "stats"]);
+    assert!(ok);
+    assert!(
+        stdout.contains("resident programs: 1 hits, 1 misses"),
+        "{stdout}"
+    );
 
     let (ok, stdout, _) = rx(&["client", "--socket", sock, "shutdown"]);
     assert!(ok);

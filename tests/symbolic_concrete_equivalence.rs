@@ -142,7 +142,7 @@ fn run_case(seed: u64, s_arg: &str, n_arg: i64, pre_rounds: usize) -> Result<(),
     };
     let options = ProverOptions::default();
     let abs = Abstraction::build(&checked, &options);
-    let world = &abs.worlds[0];
+    let world = &abs.worlds()[0];
 
     // Drive the interpreter into a random pre-state first, then perform
     // the exchange under test.
@@ -176,7 +176,7 @@ fn run_case(seed: u64, s_arg: &str, n_arg: i64, pre_rounds: usize) -> Result<(),
     let concrete_actions: Vec<Action> = kernel.trace().actions()[trace_before + 2..].to_vec();
 
     // Find the symbolic paths whose condition the concrete inputs satisfy.
-    let exchange = abs.worlds[0]
+    let exchange = abs.worlds()[0]
         .exchanges
         .iter()
         .find(|e| e.ctype == "Drv" && e.msg == "In")
