@@ -328,7 +328,9 @@ impl Client {
     /// Asks the daemon to cancel request `request_id` on this
     /// connection. Idempotent: cancelling an unknown or already
     /// completed id is still acknowledged. The cancelled request's own
-    /// typed terminal frame travels separately under its original id.
+    /// typed terminal frame travels separately under its original id;
+    /// for a request cancelled while queued it follows the
+    /// acknowledgement.
     pub fn cancel(&mut self, request_id: u64) -> Result<(), ClientError> {
         self.send(CANCEL, request_id, Vec::new())?;
         let frame = self.read()?;

@@ -134,12 +134,30 @@ impl std::fmt::Display for ServiceError {
 
 impl std::error::Error for ServiceError {}
 
-/// A pending request's completion slot: the submitting thread blocks in
-/// [`Ticket::wait`] until a worker fills it.
-#[derive(Debug, Default)]
+/// What a [`Ticket`] hands its result to instead of a waiting thread.
+pub type ReplyFn = Box<dyn FnOnce(Result<Reply, ServiceError>) + Send>;
+
+/// A pending request's completion slot. Its result goes either to one
+/// thread blocked in [`Ticket::wait`] or to one callback registered with
+/// [`Ticket::on_reply`], whichever is asked first.
+#[derive(Default)]
 pub struct Ticket {
-    slot: Mutex<Option<Result<Reply, ServiceError>>>,
+    slot: Mutex<Slot>,
     done: Condvar,
+}
+
+#[derive(Default)]
+struct Slot {
+    /// The terminal result, once filled and until taken.
+    result: Option<Result<Reply, ServiceError>>,
+    /// The registered callback, until the fill runs it.
+    on_reply: Option<ReplyFn>,
+}
+
+impl std::fmt::Debug for Ticket {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Ticket").finish_non_exhaustive()
+    }
 }
 
 impl Ticket {
@@ -147,17 +165,42 @@ impl Ticket {
     pub fn wait(&self) -> Result<Reply, ServiceError> {
         let mut slot = self.slot.lock().expect("ticket poisoned");
         loop {
-            if let Some(result) = slot.take() {
+            if let Some(result) = slot.result.take() {
                 return result;
             }
             slot = self.done.wait(slot).expect("ticket poisoned");
         }
     }
 
+    /// Hands the terminal reply to `callback` instead of a waiting
+    /// thread. A ticket that is already filled (an idempotent replay)
+    /// runs it at once on this thread; otherwise it runs on the thread
+    /// that fills the ticket: the worker that completes or expires the
+    /// request, or the thread that cancels or abandons it. The core
+    /// fills tickets with none of its locks held.
+    pub fn on_reply(&self, callback: ReplyFn) {
+        let mut slot = self.slot.lock().expect("ticket poisoned");
+        match slot.result.take() {
+            Some(result) => {
+                drop(slot);
+                callback(result);
+            }
+            None => slot.on_reply = Some(callback),
+        }
+    }
+
     fn fill(&self, result: Result<Reply, ServiceError>) {
         let mut slot = self.slot.lock().expect("ticket poisoned");
-        *slot = Some(result);
-        self.done.notify_all();
+        match slot.on_reply.take() {
+            Some(callback) => {
+                drop(slot);
+                callback(result);
+            }
+            None => {
+                slot.result = Some(result);
+                self.done.notify_all();
+            }
+        }
     }
 }
 
@@ -340,18 +383,21 @@ struct IdemWindow {
 }
 
 impl IdemWindow {
-    /// Records a completed keyed request and wakes attached retries.
-    /// Only successful replies are cached: a deterministic failure will
-    /// fail identically on a re-run, and caching errors would let one
-    /// transient fault poison every retry.
-    fn complete(&mut self, key: u64, result: &Result<Reply, ServiceError>, cap: usize) {
+    /// Records a completed keyed request and returns the attached
+    /// retries, for the caller to fill once the window's lock is
+    /// released. Only successful replies are cached: a deterministic
+    /// failure will fail identically on a re-run, and caching errors
+    /// would let one transient fault poison every retry.
+    fn complete(
+        &mut self,
+        key: u64,
+        result: &Result<Reply, ServiceError>,
+        cap: usize,
+    ) -> Vec<Arc<Ticket>> {
         let followers = match self.entries.remove(&key) {
             Some(IdemEntry::InFlight { followers }) => followers,
             _ => Vec::new(),
         };
-        for f in followers {
-            f.fill(result.clone());
-        }
         if let Ok(reply) = result {
             self.entries.insert(key, IdemEntry::Done(reply.clone()));
             self.done_order.push_back(key);
@@ -363,16 +409,17 @@ impl IdemWindow {
                 }
             }
         }
+        followers
     }
 
     /// Drops an in-flight entry whose first attempt died before
-    /// executing (cancelled / deadline-expired / abandoned), failing
-    /// attached retries with the same typed error.
-    fn fail_inflight(&mut self, key: u64, error: &ServiceError) {
-        if let Some(IdemEntry::InFlight { followers }) = self.entries.remove(&key) {
-            for f in followers {
-                f.fill(Err(error.clone()));
-            }
+    /// executing (cancelled / deadline-expired / abandoned) and returns
+    /// its attached retries, which the caller fails with the same typed
+    /// error once the window's lock is released.
+    fn fail_inflight(&mut self, key: u64) -> Vec<Arc<Ticket>> {
+        match self.entries.remove(&key) {
+            Some(IdemEntry::InFlight { followers }) => followers,
+            _ => Vec::new(),
         }
     }
 }
@@ -403,6 +450,27 @@ struct Inner {
     /// draining shutdown both wait on it.
     changed: Condvar,
     stats: ServiceStats,
+}
+
+impl Inner {
+    /// Fails a job that dies before executing, and every retry attached
+    /// to it, with `error`. Runs with no scheduler lock held and fills
+    /// only after the idempotency lock is released, since a fill may
+    /// run a reply callback.
+    fn fail_job(&self, job: Job, error: ServiceError) {
+        let followers = match job.idem_key {
+            Some(key) => self
+                .idem
+                .lock()
+                .expect("idempotency window poisoned")
+                .fail_inflight(key),
+            None => Vec::new(),
+        };
+        for follower in followers {
+            follower.fill(Err(error.clone()));
+        }
+        job.ticket.fill(Err(error));
+    }
 }
 
 impl std::fmt::Debug for Inner {
@@ -506,7 +574,8 @@ impl ServiceCore {
     /// with [`ServiceError::Overloaded`] when admission control's
     /// watermarks say queueing would only grow the backlog. Events
     /// stream into `sink` while the request runs; the returned ticket
-    /// blocks until the terminal reply. `request_id` must be unique
+    /// delivers the terminal reply ([`Ticket::wait`] or
+    /// [`Ticket::on_reply`]). `request_id` must be unique
     /// among the client's live requests — it is the handle
     /// [`ServiceCore::cancel`] takes.
     pub fn submit(
@@ -536,6 +605,9 @@ impl ServiceCore {
             match idem.entries.get_mut(&key) {
                 Some(IdemEntry::Done(reply)) => {
                     let ticket = Arc::new(Ticket::default());
+                    // A fresh ticket has no callback yet, so this fill
+                    // only stores: the caller's `on_reply` runs once
+                    // these locks are released.
                     ticket.fill(Ok(reply.clone()));
                     inner.stats.idempotent_hits.fetch_add(1, Ordering::Relaxed);
                     return Ok(ticket);
@@ -647,15 +719,8 @@ impl ServiceCore {
         let mut state = inner.state.lock().expect("scheduler poisoned");
         if let Some(job) = state.remove_queued(client, request_id) {
             drop(state);
-            if let Some(key) = job.idem_key {
-                inner
-                    .idem
-                    .lock()
-                    .expect("idempotency window poisoned")
-                    .fail_inflight(key, &ServiceError::Cancelled);
-            }
-            job.ticket.fill(Err(ServiceError::Cancelled));
             inner.stats.cancelled.fetch_add(1, Ordering::Relaxed);
+            inner.fail_job(job, ServiceError::Cancelled);
             inner.changed.notify_all();
             return CancelStatus::Queued;
         }
@@ -743,14 +808,7 @@ impl ServiceCore {
             state.queues.values_mut().flat_map(std::mem::take).collect()
         };
         for job in dropped {
-            if let Some(key) = job.idem_key {
-                self.inner
-                    .idem
-                    .lock()
-                    .expect("idempotency window poisoned")
-                    .fail_inflight(key, &ServiceError::ShuttingDown);
-            }
-            job.ticket.fill(Err(ServiceError::ShuttingDown));
+            self.inner.fail_job(job, ServiceError::ShuttingDown);
         }
         self.inner.changed.notify_all();
         self.join_workers();
@@ -778,15 +836,8 @@ fn worker_loop(inner: &Inner) {
                     if let Some(deadline_ns) = job.deadline_ns {
                         if inner.clock.now_ns() >= deadline_ns {
                             drop(state);
-                            if let Some(key) = job.idem_key {
-                                inner
-                                    .idem
-                                    .lock()
-                                    .expect("idempotency window poisoned")
-                                    .fail_inflight(key, &ServiceError::DeadlineExpired);
-                            }
                             inner.stats.deadline_expired.fetch_add(1, Ordering::Relaxed);
-                            job.ticket.fill(Err(ServiceError::DeadlineExpired));
+                            inner.fail_job(job, ServiceError::DeadlineExpired);
                             inner.changed.notify_all();
                             state = inner.state.lock().expect("scheduler poisoned");
                             continue;
@@ -812,20 +863,29 @@ fn worker_loop(inner: &Inner) {
         };
         let result = execute(inner, job.request, &*job.sink, budget);
         inner.stats.requests_served.fetch_add(1, Ordering::Relaxed);
-        if let Some(key) = job.idem_key {
-            inner
+        let followers = match job.idem_key {
+            Some(key) => inner
                 .idem
                 .lock()
                 .expect("idempotency window poisoned")
-                .complete(key, &result, inner.idempotency_cap);
-        }
-        job.ticket.fill(result);
+                .complete(key, &result, inner.idempotency_cap),
+            None => Vec::new(),
+        };
+        // Retire the job before replying, so a client that sends its
+        // next request the moment the reply lands is not still counted
+        // against its in-flight cap. Shutdown's drain ends early here,
+        // but it joins this worker, so the fills below still finish
+        // before it returns.
         {
             let mut state = inner.state.lock().expect("scheduler poisoned");
             state.running.remove(&(job.client, job.request_id));
             state.active -= 1;
         }
         inner.changed.notify_all();
+        for follower in followers {
+            follower.fill(result.clone());
+        }
+        job.ticket.fill(result);
     }
 }
 

@@ -5,28 +5,36 @@
 //! client id (so per-client queueing, budgets and fairness apply per
 //! connection). After the version handshake the reader keeps reading
 //! frames while requests run: each accepted [`REQUEST`] is submitted to
-//! the core and a waiter thread writes its terminal frame (preceded by
-//! any streamed [`EVENT`](crate::protocol::EVENT) frames from the core
-//! workers) through the shared, locked write half. That is what lets a
-//! [`CANCEL`] frame reach a request already in flight, and lets one
-//! connection pipeline requests.
+//! the core, and whichever thread fills its ticket writes its terminal
+//! frame — the worker that completes or expires it (after any
+//! [`EVENT`](crate::protocol::EVENT) frames it streamed), the worker
+//! that completes the attempt an idempotent retry follows, the reader
+//! that cancels it while queued, or the reader itself when an
+//! idempotent replay is answered at submit. Every write goes through the
+//! connection's one locked writer, and no thread exists per request.
+//! That is what lets a [`CANCEL`] frame reach a request already in
+//! flight, and lets one connection pipeline requests.
 //!
 //! Hostile or dead peers cannot wedge the server: reads run under a
 //! per-frame progress deadline (a slow-loris trickling bytes is reaped
 //! mid-frame) and an idle deadline (a dead TCP half with nothing in
 //! flight is reaped between frames), both answered with a typed
-//! [`ERR_IDLE`] frame before close; writes carry a socket write
-//! timeout. Malformed input is answered, counted and dropped — never
-//! panicked on: a frame that fails to decode gets a typed
-//! [`ERROR`](crate::protocol::ERROR) frame, bumps
+//! [`ERR_IDLE`] frame before close. Writes carry a socket write
+//! timeout; the first write that fails or times out marks the
+//! connection broken and shuts it down, and later frames for it are
+//! dropped at once, so a peer that stops reading costs the writers at
+//! most one write timeout. Malformed input is answered, counted and
+//! dropped — never panicked on: a frame that fails to decode gets a
+//! typed [`ERROR`](crate::protocol::ERROR) frame, bumps
 //! [`ServiceStats::protocol_errors`] and closes the connection.
 
+use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -35,10 +43,10 @@ use reflex_driver::{Event, Instrument, NullSink};
 use crate::core::{ServiceCore, ServiceError, ServiceStats};
 use crate::protocol::{
     decode_hello, decode_request, encode_error, encode_error_retry, encode_reply, encode_stats,
-    read_frame, write_frame, Frame, ProtoError, CANCEL, CANCEL_OK, ERROR, ERR_BUSY, ERR_CANCELLED,
-    ERR_DEADLINE, ERR_IDLE, ERR_MALFORMED, ERR_OVERLOADED, ERR_OVERSIZED, ERR_REQUEST,
-    ERR_SHUTDOWN, ERR_VERSION, EVENT, HELLO, HELLO_OK, REPLY, REQUEST, SHUTDOWN, SHUTDOWN_OK,
-    STATS, STATS_REPLY, VERSION,
+    read_frame, write_frame, Frame, ProtoError, Reply, CANCEL, CANCEL_OK, ERROR, ERR_BUSY,
+    ERR_CANCELLED, ERR_DEADLINE, ERR_IDLE, ERR_MALFORMED, ERR_OVERLOADED, ERR_OVERSIZED,
+    ERR_REQUEST, ERR_SHUTDOWN, ERR_VERSION, EVENT, HELLO, HELLO_OK, REPLY, REQUEST, SHUTDOWN,
+    SHUTDOWN_OK, STATS, STATS_REPLY, VERSION,
 };
 
 /// Where the server listens and how aggressively it reaps bad peers.
@@ -59,8 +67,8 @@ pub struct ServerConfig {
     /// (300 000 ms).
     pub idle_timeout_ms: u64,
     /// Socket write timeout, so a peer that stopped draining cannot
-    /// block event/reply writers forever. 0 means the default
-    /// (30 000 ms).
+    /// block event/reply writers forever: the first write that times
+    /// out closes the connection. 0 means the default (30 000 ms).
     pub write_timeout_ms: u64,
 }
 
@@ -148,10 +156,10 @@ struct TimedReader<'a> {
     stream: &'a mut Stream,
     timeouts: Timeouts,
     stop: Arc<AtomicBool>,
-    /// Requests submitted on this connection and not yet answered;
-    /// while nonzero, silence is legitimate (the peer is waiting for
-    /// replies) and idle reaping is off.
-    inflight: Arc<AtomicUsize>,
+    /// The connection's write side; while it has requests in flight,
+    /// silence is legitimate (the peer is waiting for replies) and idle
+    /// reaping is off.
+    conn: Arc<Conn>,
     /// Deadline for the frame currently arriving (set at its first
     /// byte, cleared by [`TimedReader::begin_frame`]).
     frame_deadline: Option<Instant>,
@@ -167,13 +175,13 @@ impl<'a> TimedReader<'a> {
         stream: &'a mut Stream,
         timeouts: Timeouts,
         stop: Arc<AtomicBool>,
-        inflight: Arc<AtomicUsize>,
+        conn: Arc<Conn>,
     ) -> TimedReader<'a> {
         TimedReader {
             stream,
             timeouts,
             stop,
-            inflight,
+            conn,
             frame_deadline: None,
             idle_since: Instant::now(),
             reaped: None,
@@ -215,7 +223,7 @@ impl Read for TimedReader<'_> {
                                 "frame read deadline exceeded",
                             ));
                         }
-                    } else if self.inflight.load(Ordering::Relaxed) == 0
+                    } else if !self.conn.has_inflight()
                         && now.duration_since(self.idle_since) >= self.timeouts.idle
                     {
                         self.reaped = Some(Reaped::Idle);
@@ -256,25 +264,110 @@ impl Write for Stream {
     }
 }
 
+/// One connection's write side. Every frame the server sends on a
+/// connection goes through [`Conn::send`], from whichever thread has it
+/// to send: the reader, a worker streaming events or finishing a
+/// request, or the thread that cancels one.
+struct Conn {
+    /// The write half, or `None` once the connection is broken: the
+    /// first write that fails or times out shuts the socket down (which
+    /// also ends the reader), and every later frame is dropped without
+    /// touching it.
+    writer: Mutex<Option<Stream>>,
+    /// Requests submitted on this connection and not yet answered.
+    inflight: Mutex<usize>,
+    /// Signalled when `inflight` drops to 0.
+    drained: Condvar,
+}
+
+impl Conn {
+    fn new(writer: Stream) -> Conn {
+        Conn {
+            writer: Mutex::new(Some(writer)),
+            inflight: Mutex::new(0),
+            drained: Condvar::new(),
+        }
+    }
+
+    /// Writes one frame, best-effort: a peer that stopped reading costs
+    /// one write timeout, once.
+    fn send(&self, kind: u8, request_id: u64, payload: Vec<u8>) {
+        let mut writer = self.writer.lock().expect("connection writer poisoned");
+        let Some(stream) = writer.as_mut() else {
+            return;
+        };
+        let frame = Frame {
+            kind,
+            request_id,
+            payload,
+        };
+        if write_frame(stream, &frame).is_err() {
+            stream.close();
+            *writer = None;
+        }
+    }
+
+    /// Sends a request's terminal frame: its REPLY, or the typed
+    /// [`ERROR`] for a [`ServiceError`] (with the `retry_after_ms` hint
+    /// when it is an overload shed).
+    fn reply(&self, request_id: u64, result: Result<Reply, ServiceError>) {
+        match result {
+            Ok(reply) => self.send(REPLY, request_id, encode_reply(&reply)),
+            Err(e) => {
+                let retry_after = match e {
+                    ServiceError::Overloaded { retry_after_ms } => Some(retry_after_ms),
+                    _ => None,
+                };
+                let payload = encode_error_retry(error_code(&e), &e.to_string(), retry_after);
+                self.send(ERROR, request_id, payload);
+            }
+        }
+    }
+
+    fn has_inflight(&self) -> bool {
+        *self.inflight.lock().expect("inflight poisoned") > 0
+    }
+
+    fn begin_request(&self) {
+        *self.inflight.lock().expect("inflight poisoned") += 1;
+    }
+
+    fn end_request(&self) {
+        let mut inflight = self.inflight.lock().expect("inflight poisoned");
+        *inflight -= 1;
+        if *inflight == 0 {
+            self.drained.notify_all();
+        }
+    }
+
+    /// Blocks until every submitted request has had its terminal frame
+    /// sent (or dropped, on a broken connection).
+    fn wait_drained(&self) {
+        let mut inflight = self.inflight.lock().expect("inflight poisoned");
+        while *inflight > 0 {
+            inflight = self.drained.wait(inflight).expect("inflight poisoned");
+        }
+    }
+
+    /// Answers a peer's protocol violation with a typed [`ERROR`] frame
+    /// and counts it.
+    fn protocol_error(&self, stats: &ServiceStats, request_id: u64, code: u16, message: &str) {
+        stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
+        self.send(ERROR, request_id, encode_error(code, message));
+    }
+}
+
 /// Forwards session events as [`EVENT`] frames through the connection's
-/// shared write half, tagged with the request they belong to.
+/// writer, tagged with the request they belong to.
 struct FrameSink {
-    writer: Arc<Mutex<Stream>>,
+    conn: Arc<Conn>,
     request_id: u64,
 }
 
 impl Instrument for FrameSink {
     fn event(&self, event: &Event) {
-        let frame = Frame {
-            kind: EVENT,
-            request_id: self.request_id,
-            payload: event.to_json().into_bytes(),
-        };
-        if let Ok(mut w) = self.writer.lock() {
-            // A client that stopped reading mid-stream is its own
-            // problem; the reply path will surface the broken pipe.
-            let _ = write_frame(&mut *w, &frame);
-        }
+        self.conn
+            .send(EVENT, self.request_id, event.to_json().into_bytes());
     }
 }
 
@@ -302,10 +395,17 @@ struct Shared {
     shutdown_requested: Arc<AtomicBool>,
     next_client: AtomicU64,
     timeouts: Timeouts,
-    conn_threads: Mutex<Vec<JoinHandle<()>>>,
-    /// Read-half clones of live connections, closed on stop to unblock
-    /// their reader threads.
-    conns: Mutex<Vec<Stream>>,
+    /// Live connections by client id. Each connection removes its own
+    /// entry as it ends, so a long-lived daemon holds nothing for the
+    /// connections it has already served.
+    conns: Mutex<HashMap<u64, LiveConn>>,
+}
+
+/// What [`ServerHandle::stop`] needs of a live connection.
+struct LiveConn {
+    /// A clone of the socket, closed on stop to unblock the reader.
+    stream: Stream,
+    thread: JoinHandle<()>,
 }
 
 impl std::fmt::Debug for Shared {
@@ -330,8 +430,7 @@ pub fn serve(core: Arc<ServiceCore>, config: &ServerConfig) -> io::Result<Server
         shutdown_requested: Arc::clone(&shutdown_requested),
         next_client: AtomicU64::new(1),
         timeouts: Timeouts::of(config),
-        conn_threads: Mutex::new(Vec::new()),
-        conns: Mutex::new(Vec::new()),
+        conns: Mutex::new(HashMap::new()),
     });
     let mut accept_threads = Vec::new();
     let mut unix_path = None;
@@ -388,22 +487,21 @@ impl ServerHandle {
         &self.core
     }
 
-    /// Stops accepting, closes live connections, joins every server
-    /// thread and removes the unix socket file. The core itself is left
-    /// running — call [`ServiceCore::shutdown`] after this to drain and
-    /// flush.
+    /// Stops accepting, closes the connections still live, joins every
+    /// server thread and removes the unix socket file. The core itself
+    /// is left running — call [`ServiceCore::shutdown`] after this to
+    /// drain and flush.
     pub fn stop(&self) {
         self.stop.store(true, Ordering::Relaxed);
         for handle in std::mem::take(&mut *self.accept_threads.lock().expect("accept poisoned")) {
             let _ = handle.join();
         }
-        for conn in std::mem::take(&mut *self.shared.conns.lock().expect("conns poisoned")) {
-            conn.close();
+        let live = std::mem::take(&mut *self.shared.conns.lock().expect("conns poisoned"));
+        for conn in live.values() {
+            conn.stream.close();
         }
-        for handle in
-            std::mem::take(&mut *self.shared.conn_threads.lock().expect("threads poisoned"))
-        {
-            let _ = handle.join();
+        for (_, conn) in live {
+            let _ = conn.thread.join();
         }
         if let Some(path) = &self.unix_path {
             let _ = std::fs::remove_file(path);
@@ -426,111 +524,66 @@ fn accept_loop(shared: &Arc<Shared>, mut accept: impl FnMut() -> io::Result<Stre
                     .connections
                     .fetch_add(1, Ordering::Relaxed);
                 let client = shared.next_client.fetch_add(1, Ordering::Relaxed);
-                if let Ok(reader_clone) = stream.try_clone() {
-                    shared
+                let closer = match stream.try_clone() {
+                    Ok(closer) => closer,
+                    Err(e) => {
+                        accept_error(shared, &e);
+                        continue;
+                    }
+                };
+                // Spawned with the map locked, so the connection's
+                // removal of its own entry cannot run before the insert.
+                let mut conns = shared.conns.lock().expect("conns poisoned");
+                let shared2 = Arc::clone(shared);
+                let thread = std::thread::spawn(move || {
+                    let mut stream = stream;
+                    handle_connection(&shared2, &mut stream, client);
+                    // Shut the socket down so the peer sees the close at
+                    // once, then drop this connection's entry: that
+                    // closes the clone and detaches this thread, whose
+                    // stack is freed as it exits.
+                    stream.close();
+                    shared2
                         .conns
                         .lock()
                         .expect("conns poisoned")
-                        .push(reader_clone);
-                }
-                let shared2 = Arc::clone(shared);
-                let handle = std::thread::spawn(move || {
-                    let mut stream = stream;
-                    handle_connection(&shared2, &mut stream, client);
-                    // The clone parked in `conns` (for stop()) keeps the
-                    // descriptor alive; shut the socket down so the peer
-                    // sees the close the moment this connection ends.
-                    stream.close();
+                        .remove(&client);
                 });
-                shared
-                    .conn_threads
-                    .lock()
-                    .expect("threads poisoned")
-                    .push(handle);
+                conns.insert(
+                    client,
+                    LiveConn {
+                        stream: closer,
+                        thread,
+                    },
+                );
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                 std::thread::sleep(Duration::from_millis(5));
             }
-            Err(e) => {
-                // Transient listener trouble (EMFILE, ECONNABORTED, a
-                // shutdown race): log, count, back off and keep
-                // accepting — one bad accept must never kill the
-                // listener for every future client.
-                shared
-                    .core
-                    .stats()
-                    .accept_errors
-                    .fetch_add(1, Ordering::Relaxed);
-                eprintln!("rxd: accept error (continuing): {e}");
-                std::thread::sleep(Duration::from_millis(5));
-            }
+            Err(e) => accept_error(shared, &e),
         }
     }
 }
 
-/// Sends an [`ERROR`] frame (best-effort) and bumps the protocol-error
-/// counter when `count` is set.
-fn send_error(
-    writer: &Arc<Mutex<Stream>>,
-    stats: &ServiceStats,
-    request_id: u64,
-    code: u16,
-    message: &str,
-    count: bool,
-) {
-    if count {
-        stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
-    }
-    if let Ok(mut w) = writer.lock() {
-        let _ = write_frame(
-            &mut *w,
-            &Frame {
-                kind: ERROR,
-                request_id,
-                payload: encode_error(code, message),
-            },
-        );
-    }
-}
-
-fn send_frame(writer: &Arc<Mutex<Stream>>, kind: u8, request_id: u64, payload: Vec<u8>) {
-    if let Ok(mut w) = writer.lock() {
-        let _ = write_frame(
-            &mut *w,
-            &Frame {
-                kind,
-                request_id,
-                payload,
-            },
-        );
-    }
-}
-
-/// Sends the typed [`ERROR`] frame for a [`ServiceError`] (carrying the
-/// `retry_after_ms` hint when it is an overload shed).
-fn send_service_error(writer: &Arc<Mutex<Stream>>, request_id: u64, e: &ServiceError) {
-    let retry_after = match e {
-        ServiceError::Overloaded { retry_after_ms } => Some(*retry_after_ms),
-        _ => None,
-    };
-    if let Ok(mut w) = writer.lock() {
-        let _ = write_frame(
-            &mut *w,
-            &Frame {
-                kind: ERROR,
-                request_id,
-                payload: encode_error_retry(error_code(e), &e.to_string(), retry_after),
-            },
-        );
-    }
+/// Transient listener trouble (EMFILE, ECONNABORTED, a shutdown race):
+/// log, count, back off and keep accepting — one bad accept must never
+/// kill the listener for every future client.
+fn accept_error(shared: &Shared, e: &io::Error) {
+    shared
+        .core
+        .stats()
+        .accept_errors
+        .fetch_add(1, Ordering::Relaxed);
+    eprintln!("rxd: accept error (continuing): {e}");
+    std::thread::sleep(Duration::from_millis(5));
 }
 
 /// Runs one connection to completion: handshake, then the pipelined
-/// request loop — the reader keeps reading (so CANCEL frames land)
-/// while waiter threads write each request's terminal frame. Every exit
-/// path is a clean close that first joins the waiters, so accepted
-/// requests always get their terminal frame; nothing in here panics on
-/// hostile input.
+/// request loop. The reader keeps reading (so CANCEL frames land) while
+/// each request's terminal frame is written by whichever thread fills
+/// its ticket. Every exit path is a clean close that first waits for the
+/// connection's in-flight count to reach 0, so accepted requests always
+/// get their terminal frame; nothing in here panics on hostile input.
 fn handle_connection(shared: &Arc<Shared>, reader: &mut Stream, client: u64) {
     let stats = shared.core.stats();
     // The poll-granularity socket timeout drives TimedReader's deadline
@@ -539,19 +592,17 @@ fn handle_connection(shared: &Arc<Shared>, reader: &mut Stream, client: u64) {
     // both).
     let _ = reader.set_read_timeout(Some(shared.timeouts.poll));
     let _ = reader.set_write_timeout(Some(shared.timeouts.write));
-    let writer = match reader.try_clone() {
-        Ok(w) => Arc::new(Mutex::new(w)),
+    let conn = match reader.try_clone() {
+        Ok(w) => Arc::new(Conn::new(w)),
         Err(_) => return,
     };
-    let inflight = Arc::new(AtomicUsize::new(0));
     let timeouts = shared.timeouts;
     let mut timed = TimedReader::new(
         reader,
         timeouts,
         Arc::clone(&shared.stop),
-        Arc::clone(&inflight),
+        Arc::clone(&conn),
     );
-    let mut waiters: Vec<JoinHandle<()>> = Vec::new();
 
     // ---- Handshake ------------------------------------------------------
     timed.begin_frame();
@@ -560,45 +611,34 @@ fn handle_connection(shared: &Arc<Shared>, reader: &mut Stream, client: u64) {
             Some(version) if version == VERSION => {
                 let mut e = crate::protocol::Enc::new();
                 e.u16(VERSION);
-                send_frame(&writer, HELLO_OK, frame.request_id, e.buf);
+                conn.send(HELLO_OK, frame.request_id, e.buf);
             }
             Some(version) => {
-                send_error(
-                    &writer,
+                conn.protocol_error(
                     stats,
                     frame.request_id,
                     ERR_VERSION,
                     &format!("unsupported protocol version {version} (server speaks {VERSION})"),
-                    true,
                 );
                 return;
             }
             None => {
-                send_error(
-                    &writer,
-                    stats,
-                    frame.request_id,
-                    ERR_VERSION,
-                    "bad hello payload",
-                    true,
-                );
+                conn.protocol_error(stats, frame.request_id, ERR_VERSION, "bad hello payload");
                 return;
             }
         },
         Ok(frame) => {
-            send_error(
-                &writer,
+            conn.protocol_error(
                 stats,
                 frame.request_id,
                 ERR_MALFORMED,
                 "expected hello frame first",
-                true,
             );
             return;
         }
         Err(e) => {
-            report_reap(&writer, stats, timed.reaped);
-            report_read_error(&writer, stats, &e);
+            report_reap(&conn, stats, timed.reaped);
+            report_read_error(&conn, stats, &e);
             return;
         }
     }
@@ -612,21 +652,19 @@ fn handle_connection(shared: &Arc<Shared>, reader: &mut Stream, client: u64) {
         let frame = match read_frame(&mut timed) {
             Ok(frame) => frame,
             Err(e) => {
-                report_reap(&writer, stats, timed.reaped);
-                report_read_error(&writer, stats, &e);
+                report_reap(&conn, stats, timed.reaped);
+                report_read_error(&conn, stats, &e);
                 break;
             }
         };
         match frame.kind {
             REQUEST => {
                 let Some(request) = decode_request(&frame.payload) else {
-                    send_error(
-                        &writer,
+                    conn.protocol_error(
                         stats,
                         frame.request_id,
                         ERR_MALFORMED,
                         "request payload did not decode",
-                        true,
                     );
                     break;
                 };
@@ -639,64 +677,58 @@ fn handle_connection(shared: &Arc<Shared>, reader: &mut Stream, client: u64) {
                 );
                 let sink: Arc<dyn Instrument + Send> = if want_events {
                     Arc::new(FrameSink {
-                        writer: Arc::clone(&writer),
+                        conn: Arc::clone(&conn),
                         request_id: frame.request_id,
                     })
                 } else {
                     Arc::new(NullSink)
                 };
                 // Submit on the reader thread (preserving the client's
-                // send order in its queue); a waiter thread blocks on
-                // the ticket so this loop keeps reading — that is what
-                // lets CANCEL reach an in-flight request.
-                match shared.core.submit(client, frame.request_id, request, sink) {
+                // send order in its queue); the reply is written by
+                // whichever thread fills the ticket, so this loop keeps
+                // reading — that is what lets CANCEL reach an in-flight
+                // request.
+                let request_id = frame.request_id;
+                match shared.core.submit(client, request_id, request, sink) {
                     Ok(ticket) => {
-                        inflight.fetch_add(1, Ordering::Relaxed);
-                        let writer = Arc::clone(&writer);
-                        let inflight = Arc::clone(&inflight);
-                        let request_id = frame.request_id;
-                        waiters.push(std::thread::spawn(move || {
-                            match ticket.wait() {
-                                Ok(reply) => {
-                                    send_frame(&writer, REPLY, request_id, encode_reply(&reply));
-                                }
-                                Err(e) => send_service_error(&writer, request_id, &e),
-                            }
-                            inflight.fetch_sub(1, Ordering::Relaxed);
+                        conn.begin_request();
+                        let conn = Arc::clone(&conn);
+                        ticket.on_reply(Box::new(move |result| {
+                            conn.reply(request_id, result);
+                            conn.end_request();
                         }));
                     }
-                    Err(e) => send_service_error(&writer, frame.request_id, &e),
+                    Err(e) => conn.reply(request_id, Err(e)),
                 }
             }
             CANCEL => {
                 // Idempotent: unknown/completed ids are acknowledged
                 // the same way — the interesting effect (a typed
                 // Cancelled terminal frame) travels on the original
-                // request's id.
+                // request's id. The ack goes first: cancelling a queued
+                // request writes its terminal frame right here, on this
+                // thread.
+                conn.send(CANCEL_OK, frame.request_id, Vec::new());
                 let _ = shared.core.cancel(client, frame.request_id);
-                send_frame(&writer, CANCEL_OK, frame.request_id, Vec::new());
             }
             STATS => {
-                send_frame(
-                    &writer,
+                conn.send(
                     STATS_REPLY,
                     frame.request_id,
                     encode_stats(&stats.snapshot()),
                 );
             }
             SHUTDOWN => {
-                send_frame(&writer, SHUTDOWN_OK, frame.request_id, Vec::new());
+                conn.send(SHUTDOWN_OK, frame.request_id, Vec::new());
                 shared.shutdown_requested.store(true, Ordering::Relaxed);
                 break;
             }
             _ => {
-                send_error(
-                    &writer,
+                conn.protocol_error(
                     stats,
                     frame.request_id,
                     ERR_MALFORMED,
                     &format!("unknown frame kind {}", frame.kind),
-                    true,
                 );
                 break;
             }
@@ -704,9 +736,7 @@ fn handle_connection(shared: &Arc<Shared>, reader: &mut Stream, client: u64) {
     }
     // Every accepted request still gets its terminal frame before the
     // connection closes.
-    for waiter in waiters {
-        let _ = waiter.join();
-    }
+    conn.wait_drained();
 }
 
 fn error_code(e: &ServiceError) -> u16 {
@@ -723,25 +753,25 @@ fn error_code(e: &ServiceError) -> u16 {
 /// Announces a reaped connection: a typed [`ERR_IDLE`] frame
 /// (best-effort — a dead half will not read it, a slow-loris might) and
 /// the reaped-connections counter.
-fn report_reap(writer: &Arc<Mutex<Stream>>, stats: &ServiceStats, reaped: Option<Reaped>) {
+fn report_reap(conn: &Conn, stats: &ServiceStats, reaped: Option<Reaped>) {
     let Some(why) = reaped else { return };
     stats.reaped_connections.fetch_add(1, Ordering::Relaxed);
     let message = match why {
         Reaped::SlowFrame => "connection reaped: frame did not complete within the read deadline",
         Reaped::Idle => "connection reaped: idle past the deadline with nothing in flight",
     };
-    send_error(writer, stats, 0, ERR_IDLE, message, false);
+    conn.send(ERROR, 0, encode_error(ERR_IDLE, message));
 }
 
 /// Classifies a failed read: hostile frames get a typed error reply and
 /// count as protocol errors; a peer that just went away does not.
-fn report_read_error(writer: &Arc<Mutex<Stream>>, stats: &ServiceStats, e: &ProtoError) {
+fn report_read_error(conn: &Conn, stats: &ServiceStats, e: &ProtoError) {
     match e {
         ProtoError::Oversized { .. } => {
-            send_error(writer, stats, 0, ERR_OVERSIZED, &e.to_string(), true);
+            conn.protocol_error(stats, 0, ERR_OVERSIZED, &e.to_string());
         }
         ProtoError::Malformed(_) => {
-            send_error(writer, stats, 0, ERR_MALFORMED, &e.to_string(), true);
+            conn.protocol_error(stats, 0, ERR_MALFORMED, &e.to_string());
         }
         ProtoError::Closed | ProtoError::Io(_) => {}
     }

@@ -7,18 +7,23 @@
 use std::collections::BTreeMap;
 use std::io::{Read as _, Write as _};
 use std::net::TcpStream;
+use std::os::unix::net::UnixStream;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier, Condvar, Mutex};
+use std::time::{Duration, Instant};
 
 use reflex_driver::{Event, Instrument, NullSink, SessionConfig, VerifySession};
 use reflex_kernels::car;
 use reflex_service::protocol::{
-    read_frame, write_frame, Frame, ProtoError, ERROR, ERR_MALFORMED, ERR_OVERSIZED, MAX_FRAME,
-    REQUEST,
+    decode_error_retry, decode_reply, encode_hello, encode_reply, encode_request, read_frame,
+    write_frame, Frame, ProtoError, CANCEL, CANCEL_OK, ERROR, ERR_CANCELLED, ERR_DEADLINE,
+    ERR_MALFORMED, ERR_OVERLOADED, ERR_OVERSIZED, HELLO, HELLO_OK, MAX_FRAME, REPLY, REQUEST,
+    STATS, STATS_REPLY,
 };
 use reflex_service::{
-    serve, CancelStatus, Client, Endpoint, Reply, Request, ServerConfig, ServiceConfig,
-    ServiceCore, ServiceError,
+    serve, CancelStatus, Client, Endpoint, Reply, Request, ServerConfig, ServerHandle,
+    ServiceConfig, ServiceCore, ServiceError,
 };
 use reflex_verify::{certificate_to_bytes, Outcome};
 
@@ -1217,4 +1222,319 @@ fn two_workers_racing_on_one_new_program_both_answer_correctly() {
     assert_eq!(stats.resident_misses + stats.resident_hits, 2);
     assert_eq!(core.env().resident_count(), 1);
     core.shutdown();
+}
+
+// ---------------------------------------------------------------------------
+// Every way a request ends, over the wire: exactly one terminal frame
+// ---------------------------------------------------------------------------
+
+/// Serves `core` on a scratch unix socket named after `tag`.
+fn serve_unix(core: &Arc<ServiceCore>, tag: &str, config: ServerConfig) -> (ServerHandle, PathBuf) {
+    let socket = temp_socket_path(tag);
+    let handle = serve(
+        Arc::clone(core),
+        &ServerConfig {
+            unix: Some(socket.clone()),
+            ..config
+        },
+    )
+    .expect("server binds");
+    (handle, socket)
+}
+
+/// A raw protocol peer that pipelines frames without waiting for the
+/// replies, which the SDK client never does.
+struct Wire(UnixStream);
+
+impl Wire {
+    fn connect(socket: &Path) -> Wire {
+        let stream = UnixStream::connect(socket).expect("connects");
+        // A server regression must fail the test, not hang it.
+        stream
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .expect("timeout set");
+        let mut wire = Wire(stream);
+        wire.send(HELLO, 0, encode_hello());
+        assert_eq!(wire.read().kind, HELLO_OK);
+        wire
+    }
+
+    fn send(&mut self, kind: u8, request_id: u64, payload: Vec<u8>) {
+        let frame = Frame {
+            kind,
+            request_id,
+            payload,
+        };
+        write_frame(&mut self.0, &frame).expect("frame writes");
+    }
+
+    fn request(&mut self, request_id: u64, request: &Request) {
+        self.send(REQUEST, request_id, encode_request(request));
+    }
+
+    fn read(&mut self) -> Frame {
+        read_frame(&mut self.0).expect("a frame arrives")
+    }
+
+    /// Half-closes the write side and reads every frame the server sends
+    /// before it closes the connection.
+    fn drain(mut self) -> Vec<Frame> {
+        self.0
+            .shutdown(std::net::Shutdown::Write)
+            .expect("half-close");
+        let mut frames = Vec::new();
+        loop {
+            match read_frame(&mut self.0) {
+                Ok(frame) => frames.push(frame),
+                Err(ProtoError::Closed) => return frames,
+                Err(e) => panic!("the connection failed before a clean close: {e}"),
+            }
+        }
+    }
+}
+
+/// An ERROR frame's `(code, retry_after_ms)`.
+fn error_of(frame: &Frame) -> (u16, Option<u64>) {
+    assert_eq!(frame.kind, ERROR, "expected an error frame");
+    let (code, _, retry_after_ms) = decode_error_retry(&frame.payload).expect("error decodes");
+    (code, retry_after_ms)
+}
+
+fn stop(handle: ServerHandle, core: &ServiceCore, socket: &Path) {
+    handle.stop();
+    core.shutdown();
+    let _ = std::fs::remove_file(socket);
+}
+
+/// A request cancelled while queued: CANCEL_OK comes first, then the
+/// request's one terminal frame, `ERR_CANCELLED` on the same id.
+#[test]
+fn a_cancelled_queued_request_is_acked_then_ends_in_one_cancelled_error() {
+    let core = Arc::new(single_worker_core(ServiceConfig::default()));
+    let (handle, socket) = serve_unix(&core, "wire-cancel", ServerConfig::default());
+    let (gate, held) = hold_worker(&core);
+
+    let mut wire = Wire::connect(&socket);
+    wire.request(1, &Request::Ping);
+    wire.send(CANCEL, 1, Vec::new());
+    let ack = wire.read();
+    assert_eq!((ack.kind, ack.request_id), (CANCEL_OK, 1));
+    let terminal = wire.read();
+    assert_eq!(terminal.request_id, 1);
+    assert_eq!(error_of(&terminal).0, ERR_CANCELLED);
+
+    gate.open();
+    assert!(matches!(held.wait(), Ok(Reply::Verify(_))));
+    assert!(
+        wire.drain().is_empty(),
+        "nothing follows the terminal frame"
+    );
+    stop(handle, &core, &socket);
+}
+
+/// A request whose deadline expires in the queue ends in one
+/// `ERR_DEADLINE` frame, written by the worker that dequeues it.
+#[test]
+fn a_queue_expired_deadline_ends_in_one_deadline_error() {
+    let core = Arc::new(single_worker_core(ServiceConfig::default()));
+    let (handle, socket) = serve_unix(&core, "wire-deadline", ServerConfig::default());
+    let (gate, held) = hold_worker(&core);
+
+    let mut request = car_verify();
+    if let Request::Verify { deadline_ms, .. } = &mut request {
+        *deadline_ms = Some(0);
+    }
+    let mut wire = Wire::connect(&socket);
+    wire.request(1, &request);
+    gate.open();
+    assert!(matches!(held.wait(), Ok(Reply::Verify(_))));
+    let frames = wire.drain();
+    assert_eq!(frames.len(), 1);
+    assert_eq!(frames[0].request_id, 1);
+    assert_eq!(error_of(&frames[0]).0, ERR_DEADLINE);
+    stop(handle, &core, &socket);
+}
+
+/// A shed request ends in one `ERR_OVERLOADED` frame carrying the retry
+/// hint, while the request queued before it still gets its reply.
+#[test]
+fn a_shed_request_ends_in_one_overloaded_error_with_its_retry_hint() {
+    let core = Arc::new(single_worker_core(ServiceConfig {
+        shed_queue_depth: 1,
+        shed_retry_after_ms: 40,
+        ..ServiceConfig::default()
+    }));
+    let (handle, socket) = serve_unix(&core, "wire-shed", ServerConfig::default());
+    let (gate, held) = hold_worker(&core);
+
+    let mut wire = Wire::connect(&socket);
+    wire.request(1, &Request::Ping);
+    wire.request(2, &Request::Ping);
+    let shed = wire.read();
+    assert_eq!(shed.request_id, 2, "the queued ping cannot answer yet");
+    assert_eq!(error_of(&shed), (ERR_OVERLOADED, Some(40)));
+
+    gate.open();
+    assert!(matches!(held.wait(), Ok(Reply::Verify(_))));
+    let frames = wire.drain();
+    assert_eq!(frames.len(), 1);
+    assert_eq!((frames[0].kind, frames[0].request_id), (REPLY, 1));
+    assert!(matches!(
+        decode_reply(&frames[0].payload),
+        Some(Reply::Pong)
+    ));
+    stop(handle, &core, &socket);
+}
+
+/// A keyed verify retried after it completed is answered from the
+/// idempotency window at submit: one REPLY, byte for byte the first.
+#[test]
+fn an_idempotent_replay_ends_in_one_identical_reply() {
+    let core = Arc::new(single_worker_core(ServiceConfig::default()));
+    let (handle, socket) = serve_unix(&core, "wire-replay", ServerConfig::default());
+
+    let mut wire = Wire::connect(&socket);
+    wire.request(1, &keyed_car_verify(0xbeef));
+    let first = wire.read();
+    assert_eq!((first.kind, first.request_id), (REPLY, 1));
+    wire.request(2, &keyed_car_verify(0xbeef));
+    let frames = wire.drain();
+    assert_eq!(frames.len(), 1);
+    assert_eq!((frames[0].kind, frames[0].request_id), (REPLY, 2));
+    assert_eq!(frames[0].payload, first.payload);
+    assert_eq!(core.stats().requests_executed.load(Ordering::Relaxed), 1);
+    assert_eq!(core.stats().idempotent_hits.load(Ordering::Relaxed), 1);
+    stop(handle, &core, &socket);
+}
+
+/// A keyed verify that arrives while the same key is running follows
+/// that attempt: one REPLY, byte for byte the attempt's own.
+#[test]
+fn an_inflight_follower_ends_in_one_copy_of_the_leaders_reply() {
+    let core = Arc::new(single_worker_core(ServiceConfig::default()));
+    let (handle, socket) = serve_unix(&core, "wire-follower", ServerConfig::default());
+    let gate = Arc::new(Gate::default());
+    let leader = core
+        .submit(
+            0,
+            1,
+            keyed_car_verify(0xd00d),
+            Arc::new(GateSink(Arc::clone(&gate))),
+        )
+        .expect("the leader submits");
+    gate.wait_entered();
+
+    let mut wire = Wire::connect(&socket);
+    wire.request(1, &keyed_car_verify(0xd00d));
+    // Frames are handled in order: once STATS is answered, the request
+    // before it has attached as a follower.
+    wire.send(STATS, 2, Vec::new());
+    assert_eq!(wire.read().kind, STATS_REPLY);
+    assert_eq!(core.stats().idempotent_hits.load(Ordering::Relaxed), 1);
+
+    gate.open();
+    let lead = leader.wait().expect("the leader completes");
+    let frames = wire.drain();
+    assert_eq!(frames.len(), 1);
+    assert_eq!((frames[0].kind, frames[0].request_id), (REPLY, 1));
+    assert_eq!(frames[0].payload, encode_reply(&lead));
+    assert_eq!(core.stats().requests_executed.load(Ordering::Relaxed), 1);
+    stop(handle, &core, &socket);
+}
+
+/// A peer that pipelines verifies and half-closes at once still gets
+/// every reply, each exactly once, before the server closes.
+#[test]
+fn pipelined_verifies_all_reply_before_a_clean_close() {
+    let core = Arc::new(
+        ServiceCore::start(ServiceConfig {
+            jobs: 1,
+            workers: 2,
+            ..ServiceConfig::default()
+        })
+        .expect("core starts"),
+    );
+    let (handle, socket) = serve_unix(&core, "wire-close", ServerConfig::default());
+
+    let mut wire = Wire::connect(&socket);
+    for id in 1..=6 {
+        wire.request(id, &car_verify());
+    }
+    let frames = wire.drain();
+    let mut ids: Vec<u64> = frames.iter().map(|f| f.request_id).collect();
+    ids.sort_unstable();
+    assert_eq!(ids, (1..=6).collect::<Vec<_>>());
+    for frame in &frames {
+        assert_eq!(frame.kind, REPLY);
+        let Some(Reply::Verify(report)) = decode_reply(&frame.payload) else {
+            panic!("verify reply expected");
+        };
+        assert_eq!(report.failures(), 0, "{}", report.render_properties());
+    }
+    stop(handle, &core, &socket);
+}
+
+/// A peer that pipelines verifies and never reads fills its socket
+/// buffer. The first write that times out shuts its connection down and
+/// every later frame for it is dropped, so it costs the worker one write
+/// timeout, not one per frame, and other clients are served meanwhile.
+#[test]
+fn a_peer_that_never_reads_costs_one_write_timeout_and_blocks_no_one() {
+    const PIPELINED: u64 = 32;
+    const WRITE_TIMEOUT_MS: u64 = 200;
+    let core = Arc::new(single_worker_core(ServiceConfig {
+        queue_cap: PIPELINED as usize,
+        ..ServiceConfig::default()
+    }));
+    let (handle, socket) = serve_unix(
+        &core,
+        "wire-stuck",
+        ServerConfig {
+            write_timeout_ms: WRITE_TIMEOUT_MS,
+            ..ServerConfig::default()
+        },
+    );
+
+    // Each verify streams about 30 kB of events and reply: 32 of them
+    // are several times what a socket buffer holds.
+    let mut request = car_verify();
+    if let Request::Verify { want_events, .. } = &mut request {
+        *want_events = true;
+    }
+    let started = Instant::now();
+    let mut stuck = Wire::connect(&socket);
+    for id in 1..=PIPELINED {
+        stuck.request(id, &request);
+    }
+
+    let mut client = Client::connect(&Endpoint::Unix(socket.clone())).expect("connects");
+    let report = client
+        .verify(car_verify(), &mut |_| {})
+        .expect("another client is served");
+    assert_eq!(report.failures(), 0, "{}", report.render_properties());
+
+    let served = || core.stats().requests_served.load(Ordering::Relaxed);
+    let deadline = Duration::from_millis(PIPELINED * WRITE_TIMEOUT_MS);
+    while served() < PIPELINED + 1 && started.elapsed() < deadline {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert_eq!(
+        served(),
+        PIPELINED + 1,
+        "the stuck peer's requests took longer than a write timeout each"
+    );
+
+    // The server shut the connection down although the peer never
+    // closed its side: reading ends at EOF, short of everything sent.
+    let mut received = Vec::new();
+    stuck
+        .0
+        .read_to_end(&mut received)
+        .expect("the server closed the stuck connection");
+    assert!(
+        received.len() < PIPELINED as usize * 28_000,
+        "{}",
+        received.len()
+    );
+    stop(handle, &core, &socket);
 }

@@ -13,8 +13,9 @@
 //!
 //! The scenarios boot a real in-process [`serve`] loop on a scratch
 //! unix socket, so the path under test is the production one: framed
-//! protocol, pipelined reader, waiter threads, admission control, the
-//! idempotency window and the retrying SDK.
+//! protocol, pipelined reader, replies written by the thread that
+//! finishes each request, admission control, the idempotency window and
+//! the retrying SDK.
 
 use std::io::{self, Read, Write};
 use std::os::unix::net::UnixStream;
