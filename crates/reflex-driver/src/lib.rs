@@ -60,7 +60,9 @@ use crate::lru::Lru;
 /// proof caches it keeps; the least recently used entry goes first.
 /// Sixteen holds the seven Figure 6 kernels and the four §6.3 mutants with
 /// room to spare, at 120–240 KB per resident program (mostly the
-/// abstraction's per-path symbolic states).
+/// abstraction's per-path symbolic states) plus its recorded certificates
+/// as encoded bytes (2.6 KB per Figure 6 certificate on average, 105 KB
+/// for all 41). Evicting a program drops its certificate table with it.
 pub const RESIDENT_CAPACITY: usize = 16;
 
 /// A resident-table key: program name and exact source text.
@@ -163,7 +165,8 @@ pub struct SessionConfig {
 /// Resident programs are keyed by program name and exact source text,
 /// compared in full: a request whose source is byte-identical to an
 /// earlier one reuses that request's checked program and abstraction
-/// ([`VerifySession::verify_source`]). Both tables hold at most
+/// ([`VerifySession::verify_source`]) and, in a storeless checked run,
+/// the certificates the checker accepted for it. Both tables hold at most
 /// [`RESIDENT_CAPACITY`] entries.
 #[derive(Debug)]
 pub struct Env {
@@ -317,10 +320,12 @@ pub struct SessionReport {
     /// Certificates written back to the proof store.
     pub store_saved: usize,
     /// Whether every certificate in this report passed the independent
-    /// checker during this run — except full reuses of an in-process
-    /// previous run, which are returned as they were. Store runs always
-    /// check; only [`VerifySession::without_certificate_checks`] turns
-    /// this off.
+    /// checker in this process: during this run, except full reuses of
+    /// an in-process previous run, which are returned as they were. Those
+    /// are the watch loop's previous certificates, or a resident
+    /// program's recorded ones, which passed the checker when a checked
+    /// run first produced them. Store runs always check; only
+    /// [`VerifySession::without_certificate_checks`] turns this off.
     pub certificates_checked: bool,
     /// The run's counter block and per-property rows.
     pub stats: ProverStats,
@@ -668,7 +673,11 @@ impl VerifySession {
     }
 
     /// Runs `Plan` through `Report` on a resident program, over the
-    /// abstraction it keeps (built here on its first use).
+    /// abstraction it keeps (built here on its first use). Without a
+    /// store, a session that checks certificates plans the program's
+    /// recorded certificates as the previous run's, so each recorded
+    /// property is a full reuse whatever the session's budget, and it
+    /// records what it proves.
     pub fn verify_resident(
         &self,
         program: &ResidentProgram,
@@ -714,7 +723,15 @@ impl VerifySession {
         // degradation) must not split this run between two store states.
         let store = env.store();
         let from_store = previous.is_none() && store.is_some();
-        let reuse_in_play = previous.is_some() || from_store;
+        // A storeless, checked run of a resident program starts from the
+        // certificates the checker already accepted for it in this
+        // process, and records what it proves.
+        let recorded = match resident {
+            Some(program) if previous.is_none() && store.is_none() && self.check_certificates => {
+                Some(program)
+            }
+            _ => None,
+        };
         let session_start = Instant::now();
         sink.event(&Event::SessionStart {
             program: checked.program().name.clone(),
@@ -724,15 +741,17 @@ impl VerifySession {
         // ---- Plan: store candidates / previous certificates -------------
         let plan_start = Instant::now();
         sink.event(&Event::StageStart { stage: Stage::Plan });
-        let mut candidates: Vec<(String, Certificate)> = match (previous, &store) {
-            (Some(prev), _) => prev.to_vec(),
-            (None, Some(store)) => load_candidates(checked, options, store),
-            (None, None) => Vec::new(),
+        let mut candidates: Vec<(String, Certificate)> = match (previous, &store, recorded) {
+            (Some(prev), _, _) => prev.to_vec(),
+            (None, Some(store), _) => load_candidates(checked, options, store),
+            (None, None, Some(program)) => program.certified(options, self.property.as_deref()),
+            (None, None, None) => Vec::new(),
         };
         if let Some(property) = &self.property {
             candidates.retain(|(name, _)| name == property);
         }
         let store_loaded = if from_store { candidates.len() } else { 0 };
+        let reuse_in_play = previous.is_some() || from_store || !candidates.is_empty();
         sink.event(&Event::StageFinish {
             stage: Stage::Plan,
             wall_ms: ms_since(plan_start),
@@ -743,10 +762,11 @@ impl VerifySession {
         sink.event(&Event::StageStart {
             stage: Stage::Prove,
         });
-        // Storeless runs from scratch share the env's per-program cache (a
-        // repeated session over the same program starts warm); reuse runs
+        // Storeless runs share the env's per-program cache (a repeated
+        // session over the same program starts warm, also for what its
+        // recorded certificates do not cover); store and incremental runs
         // get a cache of their own.
-        let cache = if reuse_in_play {
+        let cache = if previous.is_some() || from_store {
             Arc::new(ProofCache::new())
         } else {
             env.cache_for(checked.fingerprints().program)
@@ -803,6 +823,9 @@ impl VerifySession {
                 },
             )
         })?;
+        if let Some(program) = recorded {
+            program.record_checked(options, &report.outcomes);
+        }
         sink.event(&Event::StageFinish {
             stage: Stage::Prove,
             wall_ms: ms_since(prove_start),

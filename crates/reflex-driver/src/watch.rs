@@ -13,9 +13,11 @@
 //! read is a miss now); when errors persist, the loop retries the store
 //! with capped exponential backoff and, if the store still fails,
 //! *detaches* it and degrades to in-memory certificate carrying — the
-//! same soundness, minus cross-process persistence. Every iteration in
-//! degraded mode probes the store and re-attaches it the moment it
-//! recovers. Both transitions are reported as instrument events
+//! same soundness, minus cross-process persistence. Every store-backed
+//! iteration ends with a probe (a framed write, fsync and read-back), so
+//! a failing disk is noticed even when the iteration had nothing new to
+//! write. Every iteration in degraded mode probes the store and
+//! re-attaches it the moment it recovers. Both transitions are reported as instrument events
 //! ([`Event::StoreDegraded`] / [`Event::StoreRecovered`]) and on the
 //! iteration summary. A store that cannot even be *opened* at startup
 //! follows the same policy (start degraded, keep probing) unless
@@ -233,8 +235,13 @@ impl WatchSession {
             .collect();
         if store_attached {
             if let Some(store) = self.session.env().store() {
+                // An iteration over an unchanged program writes nothing
+                // (its certificates and head record are already stored),
+                // so it ends with a probe: a disk that fails is noticed
+                // on the iteration it starts failing, whatever the edit.
+                let probed = store.probe().is_ok();
                 let now = store.io_errors();
-                if now > self.io_errors_seen {
+                if !probed || now > self.io_errors_seen {
                     self.pending_retry = true;
                 }
                 self.io_errors_seen = now;

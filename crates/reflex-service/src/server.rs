@@ -380,12 +380,42 @@ pub struct ServerHandle {
     stop: Arc<AtomicBool>,
     /// Set when a client asked the daemon to shut down.
     shutdown_requested: Arc<AtomicBool>,
-    accept_threads: Mutex<Vec<JoinHandle<()>>>,
+    accept_threads: Mutex<Vec<(JoinHandle<()>, Wake)>>,
     shared: Arc<Shared>,
     /// The unix socket path actually bound, if any.
     pub unix_path: Option<PathBuf>,
     /// The TCP address actually bound, if any (resolves port 0).
     pub tcp_addr: Option<SocketAddr>,
+}
+
+/// Where an accept loop listens, so [`ServerHandle::stop`] can wake it
+/// from its blocking `accept` with a connection of its own.
+#[derive(Debug)]
+enum Wake {
+    Unix(PathBuf),
+    Tcp(SocketAddr),
+}
+
+impl Wake {
+    /// Connects to the listener and hangs up at once. Returns whether the
+    /// connection was made: if not, the loop cannot be woken.
+    fn wake(&self) -> bool {
+        match self {
+            Wake::Unix(path) => UnixStream::connect(path).is_ok(),
+            Wake::Tcp(addr) => {
+                // A listener on the unspecified address is reached over
+                // loopback.
+                let mut addr = *addr;
+                if addr.ip().is_unspecified() {
+                    addr.set_ip(match addr {
+                        SocketAddr::V4(_) => std::net::Ipv4Addr::LOCALHOST.into(),
+                        SocketAddr::V6(_) => std::net::Ipv6Addr::LOCALHOST.into(),
+                    });
+                }
+                TcpStream::connect_timeout(&addr, Duration::from_secs(1)).is_ok()
+            }
+        }
+    }
 }
 
 /// State shared by every accept loop and connection thread.
@@ -441,22 +471,23 @@ pub fn serve(core: Arc<ServiceCore>, config: &ServerConfig) -> io::Result<Server
             let _ = std::fs::remove_file(path);
         }
         let listener = UnixListener::bind(path)?;
-        listener.set_nonblocking(true)?;
         unix_path = Some(path.clone());
         let shared = Arc::clone(&shared);
-        accept_threads.push(std::thread::spawn(move || {
+        let thread = std::thread::spawn(move || {
             accept_loop(&shared, || listener.accept().map(|(s, _)| Stream::Unix(s)));
-        }));
+        });
+        accept_threads.push((thread, Wake::Unix(path.clone())));
     }
     let mut tcp_addr = None;
     if let Some(addr) = &config.tcp {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
-        tcp_addr = Some(listener.local_addr()?);
+        let local = listener.local_addr()?;
+        tcp_addr = Some(local);
         let shared = Arc::clone(&shared);
-        accept_threads.push(std::thread::spawn(move || {
+        let thread = std::thread::spawn(move || {
             accept_loop(&shared, || listener.accept().map(|(s, _)| Stream::Tcp(s)));
-        }));
+        });
+        accept_threads.push((thread, Wake::Tcp(local)));
     }
     Ok(ServerHandle {
         core,
@@ -492,9 +523,17 @@ impl ServerHandle {
     /// is left running — call [`ServiceCore::shutdown`] after this to
     /// drain and flush.
     pub fn stop(&self) {
-        self.stop.store(true, Ordering::Relaxed);
-        for handle in std::mem::take(&mut *self.accept_threads.lock().expect("accept poisoned")) {
-            let _ = handle.join();
+        self.stop.store(true, Ordering::SeqCst);
+        for (handle, wake) in
+            std::mem::take(&mut *self.accept_threads.lock().expect("accept poisoned"))
+        {
+            // An accept loop blocks in `accept`; the wake connection
+            // returns it to its stop check. A loop that cannot be reached
+            // (its socket file replaced) is left to exit on its next
+            // accept rather than joined.
+            if wake.wake() {
+                let _ = handle.join();
+            }
         }
         let live = std::mem::take(&mut *self.shared.conns.lock().expect("conns poisoned"));
         for conn in live.values() {
@@ -509,14 +548,17 @@ impl ServerHandle {
     }
 }
 
-/// Polls a nonblocking listener until told to stop, spawning one thread
-/// per accepted connection.
+/// Accepts connections until told to stop, spawning one thread per
+/// accepted connection. `accept` blocks; [`ServerHandle::stop`] sets the
+/// flag and then connects, so the loop sees the flag as that connection
+/// arrives and drops it unserved.
 fn accept_loop(shared: &Arc<Shared>, mut accept: impl FnMut() -> io::Result<Stream>) {
     loop {
-        if shared.stop.load(Ordering::Relaxed) {
+        let accepted = accept();
+        if shared.stop.load(Ordering::SeqCst) {
             return;
         }
-        match accept() {
+        match accepted {
             Ok(stream) => {
                 shared
                     .core
@@ -556,9 +598,6 @@ fn accept_loop(shared: &Arc<Shared>, mut accept: impl FnMut() -> io::Result<Stre
                         thread,
                     },
                 );
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
             }
             Err(e) => accept_error(shared, &e),
         }

@@ -1224,6 +1224,131 @@ fn two_workers_racing_on_one_new_program_both_answer_correctly() {
     core.shutdown();
 }
 
+/// Parks each session as its Prove stage starts until both have reached
+/// it: by then both have read their program's certificate table, so
+/// neither can reuse what the other records.
+struct ProveBarrierSink(Arc<Barrier>);
+
+impl Instrument for ProveBarrierSink {
+    fn event(&self, event: &Event) {
+        if matches!(
+            event,
+            Event::StageStart {
+                stage: reflex_driver::Stage::Prove
+            }
+        ) {
+            self.0.wait();
+        }
+    }
+}
+
+/// Two workers that search one resident program at once both answer the
+/// one-shot certificates and both record them; the first record stands,
+/// and a third request reuses every certificate.
+#[test]
+fn two_workers_racing_on_one_resident_program_record_identical_certificates() {
+    let baseline = baseline_certificates();
+    let core = ServiceCore::start(ServiceConfig {
+        jobs: 1,
+        workers: 2,
+        ..ServiceConfig::default()
+    })
+    .expect("core starts");
+    let check = Request::Check {
+        name: "car".into(),
+        source: car::SOURCE.into(),
+    };
+    assert!(matches!(
+        core.request(0, check, Arc::new(NullSink)),
+        Ok(Reply::Checked(_))
+    ));
+    let barrier = Arc::new(Barrier::new(2));
+    let tickets: Vec<_> = (0u64..2)
+        .map(|client| {
+            let sink = ProveBarrierSink(Arc::clone(&barrier));
+            core.submit(client, client + 1, car_verify(), Arc::new(sink))
+                .expect("submits")
+        })
+        .collect();
+    for ticket in tickets {
+        let report = verify_reply(ticket.wait());
+        assert!(report.reused.is_empty(), "both searched");
+        let answer: BTreeMap<String, Vec<u8>> = outcome_bytes(&report).into_iter().collect();
+        assert_eq!(answer, baseline);
+    }
+    let third = verify_reply(core.request(0, car_verify(), Arc::new(NullSink)));
+    assert_eq!(third.reused.len(), baseline.len());
+    assert_eq!(third.stats.paths_explored, 0);
+    let answer: BTreeMap<String, Vec<u8>> = outcome_bytes(&third).into_iter().collect();
+    assert_eq!(answer, baseline);
+    assert_eq!(core.env().resident_count(), 1);
+    core.shutdown();
+}
+
+/// Evicting a program drops the certificates recorded for it: its next
+/// request searches again and answers the same bytes, and the one after
+/// that reuses them.
+#[test]
+fn evicting_a_program_drops_its_recorded_certificates() {
+    let kernels = synth_kernels(17);
+    let core = single_worker_core(ServiceConfig::default());
+    let verify = |k: &reflex_kernels::synth::SynthKernel| {
+        verify_reply(core.request(
+            0,
+            verify_request(&k.name, &k.source, None),
+            Arc::new(NullSink),
+        ))
+    };
+    let first = verify(&kernels[0]);
+    assert_eq!(first.failures(), 0, "{}", first.render_properties());
+    let all: Vec<String> = first.outcomes.iter().map(|(n, _)| n.clone()).collect();
+    assert_eq!(verify(&kernels[0]).reused, all, "recorded while resident");
+    for kernel in &kernels[1..] {
+        verify(kernel);
+    }
+    let evicted = verify(&kernels[0]);
+    assert!(evicted.reused.is_empty(), "the table went with the program");
+    assert_eq!(evicted.reproved, all);
+    assert_eq!(outcome_bytes(&evicted), outcome_bytes(&first));
+    let again = verify(&kernels[0]);
+    assert_eq!(again.reused, all);
+    assert_eq!(outcome_bytes(&again), outcome_bytes(&first));
+    core.shutdown();
+}
+
+/// A recorded certificate is served whatever the request's budget, as a
+/// store hit is: a zero wall-clock budget times every car property out
+/// on a fresh core, yet is answered with the recorded certificates once
+/// an unbudgeted request has proved them.
+#[test]
+fn a_budgeted_request_is_served_the_recorded_certificates() {
+    let baseline = baseline_certificates();
+    let budgeted = || Request::Verify {
+        name: "car".into(),
+        source: car::SOURCE.into(),
+        property: None,
+        budget_ms: Some(0),
+        budget_nodes: None,
+        want_events: false,
+        deadline_ms: None,
+        idempotency_key: None,
+    };
+    let fresh = single_worker_core(ServiceConfig::default());
+    let bitten = verify_reply(fresh.request(0, budgeted(), Arc::new(NullSink)));
+    assert_eq!(bitten.proved(), 0, "{}", bitten.render_properties());
+    assert_eq!(bitten.timeouts(), baseline.len());
+    fresh.shutdown();
+
+    let core = single_worker_core(ServiceConfig::default());
+    let proved = verify_reply(core.request(0, car_verify(), Arc::new(NullSink)));
+    assert_eq!(proved.failures(), 0, "{}", proved.render_properties());
+    let served = verify_reply(core.request(0, budgeted(), Arc::new(NullSink)));
+    assert_eq!(served.reused.len(), baseline.len());
+    let answer: BTreeMap<String, Vec<u8>> = outcome_bytes(&served).into_iter().collect();
+    assert_eq!(answer, baseline);
+    core.shutdown();
+}
+
 // ---------------------------------------------------------------------------
 // Every way a request ends, over the wire: exactly one terminal frame
 // ---------------------------------------------------------------------------
@@ -1537,4 +1662,42 @@ fn a_peer_that_never_reads_costs_one_write_timeout_and_blocks_no_one() {
         received.len()
     );
     stop(handle, &core, &socket);
+}
+
+/// `stop()` on an idle server returns promptly: the accept loops block in
+/// `accept` and are woken by a connection of the server's own.
+#[test]
+fn stop_returns_promptly_on_an_idle_server() {
+    let core = Arc::new(single_worker_core(ServiceConfig::default()));
+    let socket = temp_socket_path("idle-stop");
+    let handle = serve(
+        Arc::clone(&core),
+        &ServerConfig {
+            unix: Some(socket.clone()),
+            tcp: Some("127.0.0.1:0".into()),
+            ..ServerConfig::default()
+        },
+    )
+    .expect("server binds");
+    // Serve one client on each listener first, so both loops have been
+    // through an accept and are blocked in the next one.
+    let tcp = handle.tcp_addr.expect("tcp bound").to_string();
+    for endpoint in [Endpoint::Unix(socket.clone()), Endpoint::Tcp(tcp)] {
+        let mut client = Client::connect(&endpoint).expect("connects");
+        client.ping().expect("pongs");
+    }
+    std::thread::sleep(Duration::from_millis(50));
+
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let stopper = std::thread::spawn(move || {
+        handle.stop();
+        let _ = done_tx.send(());
+    });
+    assert!(
+        done_rx.recv_timeout(Duration::from_secs(10)).is_ok(),
+        "stop() must not wait for another client to connect"
+    );
+    stopper.join().expect("stop does not panic");
+    assert!(!socket.exists(), "stop removes the socket file");
+    core.shutdown();
 }

@@ -1,13 +1,14 @@
 //! The cached behavioral abstraction: init paths and all exchange cases.
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use reflex_ast::{BinOp, Ty, UnOp, Value};
 use reflex_symbolic::{Evaluator, Exchange, Path, SymCtx, SymState, SymVar, Term};
 use reflex_typeck::CheckedProgram;
 
-use crate::options::ProverOptions;
+use crate::certificate::Certificate;
+use crate::options::{Outcome, ProverOptions};
 
 /// One "world": the behavioral abstraction rooted at one init path.
 ///
@@ -122,28 +123,49 @@ fn build_worlds(checked: &CheckedProgram, prune: bool) -> Vec<World> {
     worlds
 }
 
-/// A type-checked program that keeps its abstraction: what a long-lived
-/// service holds per program so a repeated request skips parsing, type
-/// checking and the abstraction build.
+/// A type-checked program that keeps its abstraction and the certificates
+/// the checker accepted for it: what a long-lived service holds per
+/// program so a repeated request skips parsing, type checking, the
+/// abstraction build and, for properties already proved, proof search and
+/// checking.
 ///
 /// The abstraction is built on the first [`ResidentProgram::abstraction`]
 /// call and kept; concurrent first calls build it once. It depends only on
 /// the program and `prune_paths`, both fixed at construction.
+///
+/// The certificate table holds each recorded property's exact
+/// [`crate::certificate_to_bytes`] output (about 2.6 KB per Figure 6
+/// certificate; a decoded copy is about five times that), filed under the
+/// construction options' [`ProverOptions::fingerprint`] and served only to
+/// runs under an equal fingerprint. Readers take an [`Arc`] snapshot, so no
+/// lock is held while a run decodes or plans. The table lives and dies
+/// with the program.
 #[derive(Debug)]
 pub struct ResidentProgram {
     checked: CheckedProgram,
     prune_paths: bool,
     worlds: OnceLock<Arc<Vec<World>>>,
+    /// The options fingerprint the certificate table is filed under.
+    options_fp: reflex_ast::Fp,
+    /// Checked certificates by property name, as encoded bytes.
+    certified: Mutex<Arc<CertTable>>,
 }
+
+/// A resident program's checked certificates: property name → encoded
+/// certificate.
+type CertTable = BTreeMap<String, Arc<[u8]>>;
 
 impl ResidentProgram {
     /// Takes ownership of `checked`; the abstraction will be built with
-    /// `options.prune_paths`.
+    /// `options.prune_paths`, and certificates are recorded and served
+    /// under `options.fingerprint()`.
     pub fn new(checked: CheckedProgram, options: &ProverOptions) -> ResidentProgram {
         ResidentProgram {
             checked,
             prune_paths: options.prune_paths,
             worlds: OnceLock::new(),
+            options_fp: options.fingerprint(),
+            certified: Mutex::default(),
         }
     }
 
@@ -161,6 +183,67 @@ impl ResidentProgram {
             checked: &self.checked,
             worlds: Arc::clone(worlds),
         }
+    }
+
+    /// The recorded certificates for `property` (every recorded property
+    /// when `None`), decoded, in property-name order: the `previous` of a
+    /// run that should reuse them. Empty under options whose fingerprint
+    /// differs from the table's.
+    pub fn certified(
+        &self,
+        options: &ProverOptions,
+        property: Option<&str>,
+    ) -> Vec<(String, Certificate)> {
+        if options.fingerprint() != self.options_fp {
+            return Vec::new();
+        }
+        let table = self.snapshot();
+        table
+            .iter()
+            .filter(|(name, _)| property.is_none_or(|p| p == name.as_str()))
+            .filter_map(|(name, bytes)| Some((name.clone(), crate::certificate_from_bytes(bytes)?)))
+            .collect()
+    }
+
+    /// Records the certificates of `outcomes`' proved properties that the
+    /// table does not hold yet. Failures, timeouts, cancellations and
+    /// crashes are never recorded.
+    ///
+    /// Trust rule: call this only with outcomes whose every certificate
+    /// passed the independent checker in this process — in the run that
+    /// produced it, or when it was first recorded. Certificates are
+    /// deterministic, so two runs that record the same property record
+    /// equal bytes; the first insert wins.
+    pub fn record_checked(&self, options: &ProverOptions, outcomes: &[(String, Outcome)]) {
+        if options.fingerprint() != self.options_fp {
+            return;
+        }
+        let known = self.snapshot();
+        // Encode outside the lock; most runs of a resident program record
+        // nothing new and stop here.
+        let fresh: Vec<(&String, Arc<[u8]>)> = outcomes
+            .iter()
+            .filter(|(name, _)| !known.contains_key(name))
+            .filter_map(|(name, outcome)| {
+                Some((
+                    name,
+                    crate::certificate_to_bytes(outcome.certificate()?).into(),
+                ))
+            })
+            .collect();
+        if fresh.is_empty() {
+            return;
+        }
+        let mut slot = self.certified.lock().expect("certificate table poisoned");
+        let mut table = CertTable::clone(&slot);
+        for (name, bytes) in fresh {
+            table.entry(name.clone()).or_insert(bytes);
+        }
+        *slot = Arc::new(table);
+    }
+
+    fn snapshot(&self) -> Arc<CertTable> {
+        Arc::clone(&self.certified.lock().expect("certificate table poisoned"))
     }
 }
 

@@ -406,9 +406,10 @@ pub fn reverify_core(
             &built
         }
     };
+    let ranges = abs.ranges_fp();
     let plans = props
         .into_iter()
-        .map(|p| (p, graph.plan(&p.name, new, abs.ranges_fp())))
+        .map(|p| (p, graph.plan(&p.name, new, ranges)))
         .collect();
     let own_cache;
     let cache = match run.cache {

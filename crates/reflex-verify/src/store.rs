@@ -629,7 +629,9 @@ impl ProofStore {
     }
 
     /// Stores the head record for (`program_name`, `options`), atomically
-    /// (write to a temporary file, fsync, rename).
+    /// (write to a temporary file, fsync, rename). A head already on disk
+    /// with the same bytes is left alone: a repeated run of an unchanged
+    /// program reads the head instead of rewriting it.
     ///
     /// # Errors
     ///
@@ -642,8 +644,11 @@ impl ProofStore {
             e.str(name);
             e.fp(*fp);
         }
-        self.inner
-            .write_framed(&self.head_path(program_name, options), &e.buf)
+        let path = self.head_path(program_name, options);
+        if self.inner.read_framed(&path).as_deref() == Some(e.buf.as_slice()) {
+            return Ok(());
+        }
+        self.inner.write_framed(&path, &e.buf)
     }
 
     /// Writes a legacy flat-file entry (the pre-PR-8 one-file-per-

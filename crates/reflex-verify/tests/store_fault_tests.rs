@@ -14,7 +14,7 @@ use reflex_parser::parse_program;
 use reflex_typeck::{check, CheckedProgram};
 use reflex_verify::{
     check_certificate, load_candidates, prove_all, verify_with_store, Certificate, FaultyFs,
-    FsFault, FsFaultPlan, FsOp, ProofStore, ProverOptions, VerifyFs,
+    FsFault, FsFaultPlan, FsOp, ProofStore, ProverOptions, RealFs, VerifyFs,
 };
 
 fn temp_store(tag: &str) -> PathBuf {
@@ -307,5 +307,103 @@ fn head_load_treats_read_eio_as_a_counted_miss() {
     let back = store.load_head("car", Fp(7)).expect("head survives intact");
     assert_eq!(back.program, head.program);
     assert_eq!(back.properties, head.properties);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The real filesystem, recording where every rename lands.
+#[derive(Debug, Default)]
+struct CountingFs {
+    renamed_to: std::sync::Mutex<Vec<PathBuf>>,
+}
+
+impl CountingFs {
+    /// Renames that landed on a head record: one per head write.
+    fn head_writes(&self) -> usize {
+        self.renamed_to
+            .lock()
+            .expect("rename log poisoned")
+            .iter()
+            .filter(|to| to.extension().is_some_and(|e| e == "head"))
+            .count()
+    }
+}
+
+impl VerifyFs for CountingFs {
+    fn read(&self, path: &std::path::Path) -> std::io::Result<Vec<u8>> {
+        RealFs.read(path)
+    }
+    fn write(&self, path: &std::path::Path, bytes: &[u8]) -> std::io::Result<()> {
+        RealFs.write(path, bytes)
+    }
+    fn append(&self, path: &std::path::Path, bytes: &[u8]) -> std::io::Result<()> {
+        RealFs.append(path, bytes)
+    }
+    fn read_at(&self, path: &std::path::Path, offset: u64, len: usize) -> std::io::Result<Vec<u8>> {
+        RealFs.read_at(path, offset, len)
+    }
+    fn truncate(&self, path: &std::path::Path, len: u64) -> std::io::Result<()> {
+        RealFs.truncate(path, len)
+    }
+    fn file_len(&self, path: &std::path::Path) -> std::io::Result<u64> {
+        RealFs.file_len(path)
+    }
+    fn sync(&self, path: &std::path::Path) -> std::io::Result<()> {
+        RealFs.sync(path)
+    }
+    fn rename(&self, from: &std::path::Path, to: &std::path::Path) -> std::io::Result<()> {
+        self.renamed_to
+            .lock()
+            .expect("rename log poisoned")
+            .push(to.to_path_buf());
+        RealFs.rename(from, to)
+    }
+    fn remove_file(&self, path: &std::path::Path) -> std::io::Result<()> {
+        RealFs.remove_file(path)
+    }
+    fn create_dir_all(&self, path: &std::path::Path) -> std::io::Result<()> {
+        RealFs.create_dir_all(path)
+    }
+    fn read_dir(&self, path: &std::path::Path) -> std::io::Result<Vec<PathBuf>> {
+        RealFs.read_dir(path)
+    }
+    fn exists(&self, path: &std::path::Path) -> bool {
+        RealFs.exists(path)
+    }
+}
+
+/// A repeated store run of an unchanged program leaves its head record
+/// alone; a changed program rewrites it, and so does changing back.
+#[test]
+fn an_unchanged_head_is_not_rewritten() {
+    let dir = temp_store("head-unchanged");
+    let fs = Arc::new(CountingFs::default());
+    let store =
+        ProofStore::open_with(&dir, Arc::clone(&fs) as Arc<dyn VerifyFs>).expect("store opens");
+    let options = ProverOptions::default();
+    let opts_fp = options.fingerprint();
+    let edited_src =
+        reflex_kernels::car::SOURCE.replacen(r#"Volume("up")"#, r#"Volume("loud")"#, 1);
+    assert_ne!(edited_src, reflex_kernels::car::SOURCE, "the edit applies");
+    let edited = check(&parse_program("car", &edited_src).expect("parses")).expect("checks");
+
+    let run = |program: &CheckedProgram| {
+        verify_with_store(program, &options, &store, 1).expect("store run succeeds")
+    };
+    assert_matches_baseline("first run", &run(car()).report.outcomes);
+    assert_eq!(fs.head_writes(), 1, "the first run writes the head");
+    let again = run(car());
+    assert_matches_baseline("repeated run", &again.report.outcomes);
+    assert_eq!(again.report.reused.len(), baseline().len());
+    assert_eq!(fs.head_writes(), 1, "an unchanged head is not rewritten");
+
+    run(&edited);
+    assert_eq!(fs.head_writes(), 2, "a changed program rewrites the head");
+    let head = store.load_head("car", opts_fp).expect("head present");
+    assert_eq!(head.program, edited.fingerprints().program);
+
+    assert_matches_baseline("changed back", &run(car()).report.outcomes);
+    assert_eq!(fs.head_writes(), 3, "changing back rewrites it again");
+    let head = store.load_head("car", opts_fp).expect("head present");
+    assert_eq!(head.program, car().fingerprints().program);
     let _ = std::fs::remove_dir_all(&dir);
 }

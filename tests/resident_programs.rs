@@ -3,12 +3,18 @@
 //! abstraction build, yet answers byte for byte what the first (missing)
 //! request answered — for the Figure 6 kernels and the §6.3 mutants, with
 //! and without a proof store, at one and at eight proof threads.
+//!
+//! Without a store, a resident program also keeps the certificates the
+//! checker accepted for it: a repeated checked run reuses them instead of
+//! searching and checking again, and answers the same bytes.
 
 use std::sync::Arc;
 
-use reflex_driver::{NullSink, SessionReport};
+use reflex_driver::{
+    Env, Event, MemorySink, NullSink, SessionConfig, SessionReport, VerifySession,
+};
 use reflex_service::{Reply, Request, ServiceConfig, ServiceCore};
-use reflex_verify::certificate_to_bytes;
+use reflex_verify::{certificate_to_bytes, ProverOptions};
 
 /// `(name, source, property)` for every program the daemon benchmark
 /// serves: each kernel proving everything, each mutant scoped to the
@@ -113,5 +119,169 @@ fn hits_and_misses_give_identical_outcomes_and_certificates() {
             core.shutdown();
             let _ = std::fs::remove_dir_all(&dir);
         }
+    }
+}
+
+/// The 11 served programs plus each mutant over all of its properties,
+/// so some runs mix proved and failing properties.
+fn programs_and_whole_mutants() -> Vec<(String, String, Option<String>)> {
+    let whole = reflex_bench::seeded_mutants()
+        .into_iter()
+        .map(|m| (format!("{}-mutant", m.kernel), m.source, None));
+    programs().into_iter().chain(whole).collect()
+}
+
+fn env(jobs: usize) -> Arc<Env> {
+    Arc::new(
+        Env::new(&SessionConfig {
+            options: ProverOptions {
+                jobs,
+                ..ProverOptions::default()
+            },
+            ..SessionConfig::default()
+        })
+        .expect("storeless env"),
+    )
+}
+
+/// One storeless, checked run of `source` over `env`.
+fn run(env: &Arc<Env>, name: &str, source: &str, property: Option<&str>) -> SessionReport {
+    VerifySession::with_env(Arc::clone(env))
+        .with_property(property.map(str::to_owned))
+        .verify_source(name, source, &NullSink)
+        .unwrap_or_else(|e| panic!("{name}: {e}"))
+}
+
+fn names(report: &SessionReport, proved: bool) -> Vec<String> {
+    report
+        .outcomes
+        .iter()
+        .filter(|(_, o)| o.is_proved() == proved)
+        .map(|(n, _)| n.clone())
+        .collect()
+}
+
+#[test]
+fn repeated_storeless_runs_reuse_exactly_the_proved_properties() {
+    for jobs in [1, 8] {
+        let env = env(jobs);
+        for (name, source, property) in programs_and_whole_mutants() {
+            let context = format!("{name} {property:?} (jobs {jobs})");
+            let first = run(&env, &name, &source, property.as_deref());
+            assert!(first.reused.is_empty(), "{context}: nothing recorded yet");
+            assert!(first.certificates_checked, "{context}");
+            let answer = outcome_bytes(&first);
+            for round in 2..=3 {
+                let again = run(&env, &name, &source, property.as_deref());
+                assert_eq!(outcome_bytes(&again), answer, "{context}: run {round}");
+                assert_eq!(again.reused, names(&again, true), "{context}: run {round}");
+                assert_eq!(
+                    again.reproved,
+                    names(&again, false),
+                    "{context}: run {round}"
+                );
+                assert!(again.partial.is_empty(), "{context}: run {round}");
+                assert!(again.certificates_checked, "{context}: run {round}");
+                if again.failures() == 0 {
+                    assert_eq!(again.stats.paths_explored, 0, "{context}: run {round}");
+                    assert_eq!(again.stats.solver_queries, 0, "{context}: run {round}");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn reuse_is_visible_in_events_text_and_json() {
+    let env = env(1);
+    let car = reflex_kernels::car::SOURCE;
+    let first = run(&env, "car", car, None);
+    let sink = MemorySink::new();
+    let again = VerifySession::with_env(Arc::clone(&env))
+        .verify_source("car", car, &sink)
+        .expect("verifies");
+    let reuses: Vec<Option<&str>> = sink
+        .properties()
+        .into_iter()
+        .map(|e| match e {
+            Event::Property { reuse, .. } => reuse,
+            _ => unreachable!("properties() yields property events"),
+        })
+        .collect();
+    assert_eq!(reuses.len(), first.outcomes.len());
+    assert!(reuses.iter().all(|r| *r == Some("full")), "{reuses:?}");
+    let text = again.render_properties();
+    assert_eq!(
+        text.matches(", reused from the previous run").count(),
+        first.outcomes.len(),
+        "{text}"
+    );
+    let json = again.render_json();
+    let n = first.outcomes.len();
+    assert!(json.contains(&format!(r#""proved":{n},"#)), "{json}");
+    assert!(json.contains(&format!(r#""reused":{n},"#)), "{json}");
+    assert!(json.contains(r#""paths_explored":0,"#), "{json}");
+}
+
+#[test]
+fn unchecked_sessions_neither_record_nor_read_the_table() {
+    let env = env(1);
+    let ssh = reflex_kernels::ssh::SOURCE;
+    let unchecked = || {
+        VerifySession::with_env(Arc::clone(&env))
+            .without_certificate_checks()
+            .verify_source("ssh", ssh, &NullSink)
+            .expect("verifies")
+    };
+    let first = unchecked();
+    assert_eq!(first.failures(), 0, "{}", first.render_properties());
+
+    // The unchecked run recorded nothing: a checked session re-proves
+    // and checks everything itself.
+    let checked = run(&env, "ssh", ssh, None);
+    assert!(checked.certificates_checked);
+    assert!(checked.reused.is_empty());
+    assert_eq!(checked.reproved.len(), checked.outcomes.len());
+    assert!(checked.stats.paths_explored > 0);
+    assert_eq!(outcome_bytes(&checked), outcome_bytes(&first));
+
+    // An unchecked session does not read what the checked one recorded,
+    // though a checked one does.
+    let again = unchecked();
+    assert!(again.reused.is_empty());
+    assert!(again.stats.paths_explored > 0);
+    assert_eq!(outcome_bytes(&again), outcome_bytes(&first));
+    let recorded = run(&env, "ssh", ssh, None);
+    assert_eq!(recorded.reused.len(), recorded.outcomes.len());
+}
+
+#[test]
+fn a_scoped_run_then_a_whole_run_reuses_exactly_the_scoped_property() {
+    for bench in reflex_kernels::all_benchmarks() {
+        let env = env(1);
+        let checked = reflex_typeck::check(
+            &reflex_parser::parse_program(bench.name, bench.source).expect("parses"),
+        )
+        .expect("checks");
+        let Some(last) = checked.program().properties.last() else {
+            continue;
+        };
+        let scoped = run(&env, bench.name, bench.source, Some(&last.name));
+        assert_eq!(scoped.outcomes.len(), 1);
+        let whole = run(&env, bench.name, bench.source, None);
+        assert_eq!(whole.reused, vec![last.name.clone()], "{}", bench.name);
+        assert_eq!(
+            whole.reproved.len(),
+            whole.outcomes.len() - 1,
+            "{}",
+            bench.name
+        );
+        let fresh = run(&self::env(1), bench.name, bench.source, None);
+        assert_eq!(
+            outcome_bytes(&whole),
+            outcome_bytes(&fresh),
+            "{}",
+            bench.name
+        );
     }
 }
