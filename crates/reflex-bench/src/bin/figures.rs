@@ -6,13 +6,17 @@
 //! cargo run -p reflex-bench --release --bin figures -- fig6 --json   # + BENCH_fig6.json
 //! cargo run -p reflex-bench --release --bin figures -- table1
 //! cargo run -p reflex-bench --release --bin figures -- ablation
+//! cargo run -p reflex-bench --release --bin figures -- scaling
 //! cargo run -p reflex-bench --release --bin figures -- utility
-//! cargo run -p reflex-bench --release --bin figures -- incr --json  # + BENCH_incr.json
 //! ```
 //!
 //! `fig6 --json` additionally measures the full suite serial (no shared
 //! cache) vs. parallel (shared cache, one worker per CPU) and writes the
 //! comparison to `BENCH_fig6.json`.
+//!
+//! What the reproduction adds on top of the paper (the resident daemon,
+//! the proof-store edit loop, cold `rx verify` of generated kernels) is
+//! measured by `perfbench` (`BENCHMARK.json`), not here.
 
 use reflex_bench::{
     render_ablation, render_figure6, render_figure6_bench_json, render_table1, render_utility,
@@ -85,57 +89,13 @@ fn main() {
         let points = reflex_bench::stress::run_depth_scaling(8, &[2, 4, 6, 8, 10, 12]);
         println!("{}", reflex_bench::stress::render_scaling(&points));
     }
-    if what == "scale" {
-        println!("== Prover scaling: synthetic kernel presets ==\n");
-        let rows = check(reflex_bench::scale::run_scale(
-            reflex_bench::scale::PRESETS,
-            1,
-            jobs_arg(),
-        ));
-        println!("{}", reflex_bench::scale::render_scale(&rows));
-        if json {
-            let doc = reflex_bench::scale::render_scale_json(&rows);
-            let path = "BENCH_scale.json";
-            if let Err(e) = std::fs::write(path, &doc) {
-                eprintln!("figures: cannot write {path}: {e}");
-                std::process::exit(1);
-            }
-            println!("-> wrote {path}");
-        }
-    }
     if all || what == "utility" {
         println!("== §6.3 utility: seeded bugs caught by pushbutton re-verification ==\n");
         println!("{}", render_utility(&check(run_utility())));
     }
-    if all || what == "incr" {
-        println!(
-            "== Incremental verification: scripted 20-edit replay through the proof store ==\n"
-        );
-        let bench = reflex_bench::incr::run_incr(&ProverOptions::default(), 1);
-        println!("{}", reflex_bench::incr::render_incr(&bench));
-        if json {
-            let doc = reflex_bench::incr::render_incr_json(&bench);
-            let path = "BENCH_incr.json";
-            if let Err(e) = std::fs::write(path, &doc) {
-                eprintln!("figures: cannot write {path}: {e}");
-                std::process::exit(1);
-            }
-            println!(
-                "reuse {:.0}%, warm {:.1} ms vs cold {:.1} ms -> wrote {path}",
-                bench.reuse_ratio * 100.0,
-                bench.warm_total_ms,
-                bench.cold_total_ms
-            );
-        }
-    }
-    if !all
-        && ![
-            "table1", "fig6", "ablation", "scaling", "scale", "utility", "incr",
-        ]
-        .contains(&what.as_str())
-    {
+    if !all && !["table1", "fig6", "ablation", "scaling", "utility"].contains(&what.as_str()) {
         eprintln!(
-            "unknown figure `{what}` (expected table1 | fig6 | ablation | scaling | scale | utility | incr | all)"
+            "unknown figure `{what}` (expected table1 | fig6 | ablation | scaling | utility | all)"
         );
         std::process::exit(2);
     }

@@ -528,11 +528,11 @@ pub fn render_chaos_json(bench: &ChaosBench) -> String {
         })
         .collect();
     format!(
-        "{{\n  \"suite\": \"chaos\",\n  \"workload\": \"{}\",\n  \"rate_ppm\": {},\n  \"jobs\": {},\n  \
+        "{{\n  \"suite\": \"chaos\",\n  \"workload\": {},\n  \"rate_ppm\": {},\n  \"jobs\": {},\n  \
          \"iterations_per_seed\": {},\n  \"total_faults\": {},\n  \
          \"aborts\": {},\n  \"cert_mismatches\": {},\n  \"quarantine_escapes\": {},\n  \
          \"invariants_held\": {},\n  \"seeds\": [\n{}\n  ]\n}}\n",
-        crate::json_escape(&bench.workload),
+        reflex_driver::json_string(&bench.workload),
         bench.rate_ppm,
         bench.jobs,
         bench.iterations_per_seed,

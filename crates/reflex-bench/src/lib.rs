@@ -23,8 +23,6 @@
 
 pub mod chaos;
 pub mod incr;
-pub mod scale;
-pub mod serve;
 pub mod soak;
 pub mod store;
 pub mod stress;
@@ -33,7 +31,7 @@ use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
 
-use reflex_driver::{Env, NullSink, SessionConfig, SessionReport, VerifySession};
+use reflex_driver::{json_string, Env, NullSink, SessionConfig, SessionReport, VerifySession};
 use reflex_kernels::{all_benchmarks, figure6, loc_split};
 use reflex_verify::{check_certificate_with, Abstraction, ProverOptions};
 
@@ -287,18 +285,6 @@ pub fn run_figure6_bench(jobs: usize) -> Result<Fig6Bench, BenchError> {
     })
 }
 
-pub(crate) fn json_escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => "\\\"".chars().collect::<Vec<_>>(),
-            '\\' => "\\\\".chars().collect(),
-            '\n' => "\\n".chars().collect(),
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
-}
-
 /// Renders a [`Fig6Bench`] as the `BENCH_fig6.json` document.
 pub fn render_figure6_bench_json(bench: &Fig6Bench) -> String {
     fn run_json(run: &Fig6Run) -> String {
@@ -307,10 +293,10 @@ pub fn render_figure6_bench_json(bench: &Fig6Bench) -> String {
             .iter()
             .map(|r| {
                 format!(
-                    "      {{\"benchmark\": \"{}\", \"property\": \"{}\", \
+                    "      {{\"benchmark\": {}, \"property\": {}, \
                      \"prove_ms\": {:.3}, \"check_ms\": {:.3}, \"obligations\": {}}}",
-                    json_escape(r.row.benchmark),
-                    json_escape(r.row.property),
+                    json_string(r.row.benchmark),
+                    json_string(r.row.property),
                     r.prove_ms,
                     r.check_ms,
                     r.obligations
@@ -318,9 +304,9 @@ pub fn render_figure6_bench_json(bench: &Fig6Bench) -> String {
             })
             .collect();
         format!(
-            "{{\n    \"label\": \"{}\",\n    \"shared_cache\": {},\n    \
+            "{{\n    \"label\": {},\n    \"shared_cache\": {},\n    \
              \"jobs\": {},\n    \"total_ms\": {:.3},\n    \"rows\": [\n{}\n    ]\n  }}",
-            json_escape(run.label),
+            json_string(run.label),
             run.shared_cache,
             run.jobs,
             run.total_ms,

@@ -18,6 +18,7 @@ use std::time::{Duration, Instant};
 use rand::RngExt;
 use reflex_rng::SimRng;
 
+use reflex_ast::fingerprint::FpHasher;
 use reflex_ast::{CompId, Fdesc, Ty, Value};
 use reflex_kernels::{all_benchmarks, Benchmark};
 use reflex_runtime::{EmptyWorld, FaultPlan, RetryPolicy, SupStep, Supervisor, SupervisorConfig};
@@ -84,23 +85,6 @@ pub struct SoakOutcome {
     pub failure: Option<String>,
     /// Wall-clock for this kernel's soak.
     pub elapsed: Duration,
-}
-
-/// FNV-1a over a byte stream.
-#[derive(Debug, Clone, Copy)]
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Fnv {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
 }
 
 /// SplitMix64-style derivation of per-kernel seeds from the global seed —
@@ -257,14 +241,14 @@ pub fn soak_program_with_plan(
         }
     }
 
-    let mut trace_fp = Fnv::new();
+    let mut trace_fp = FpHasher::new();
     for act in sup.trace().actions() {
         trace_fp.write(act.to_string().as_bytes());
         trace_fp.write(b"\n");
     }
     let incidents = sup.take_incidents();
     let incident_log = render_incident_log(&incidents);
-    let mut incident_fp = Fnv::new();
+    let mut incident_fp = FpHasher::new();
     incident_fp.write(incident_log.as_bytes());
     let mut incident_counts: BTreeMap<&'static str, usize> = BTreeMap::new();
     for i in &incidents {
@@ -276,8 +260,8 @@ pub fn soak_program_with_plan(
         steps: serviced,
         injected,
         trace_len: sup.trace().len(),
-        trace_fingerprint: trace_fp.0,
-        incident_fingerprint: incident_fp.0,
+        trace_fingerprint: trace_fp.finish().0,
+        incident_fingerprint: incident_fp.finish().0,
         incident_counts,
         incidents: incidents.len(),
         incident_log,

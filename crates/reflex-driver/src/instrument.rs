@@ -24,6 +24,9 @@
 use std::io::Write;
 use std::sync::Mutex;
 
+/// Encodes a string as a JSON string literal (with quotes).
+pub use reflex_verify::store::json_str as json_string;
+
 /// The fixed stages of the verification pipeline, in order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Stage {
@@ -305,25 +308,6 @@ impl Event {
             Event::StoreRecovered => "store: recovered, re-attached".to_owned(),
         }
     }
-}
-
-/// Encodes a string as a JSON string literal (with quotes).
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// A sink for session events.

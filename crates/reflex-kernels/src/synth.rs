@@ -14,8 +14,8 @@
 //!
 //! Generation is a pure function of [`SynthConfig`] (including the seed):
 //! the same config always produces byte-identical source, which is what
-//! lets `rx bench scale`, the determinism CI job and the chaos harness
-//! all agree on the workload without committing generated files.
+//! lets `rx gen`, perfbench's cold runs, the determinism CI job and the
+//! chaos harness all agree on the workload without committing generated files.
 
 use std::fmt::Write as _;
 
@@ -39,7 +39,7 @@ pub struct SynthConfig {
 }
 
 impl SynthConfig {
-    /// Named presets used by `rx bench scale` and CI.
+    /// Named presets used by `rx gen`, perfbench and CI.
     pub fn preset(name: &str, seed: u64) -> Option<SynthConfig> {
         let cfg = match name {
             "small" => SynthConfig {

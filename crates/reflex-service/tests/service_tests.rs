@@ -500,37 +500,80 @@ fn a_deadline_that_expires_in_the_queue_is_a_typed_refusal() {
     core.shutdown();
 }
 
-/// Admission control sheds fast once the global queue watermark is hit,
-/// with the configured retry-after hint — distinct from the per-client
-/// Busy cap — and the per-client in-flight cap sheds a single client
-/// that hoards the pool.
-#[test]
-fn overload_sheds_with_a_retry_hint_before_the_hard_cap() {
+/// The shedding arm's queue-depth watermark `W`.
+const OVERLOAD_W: usize = 4;
+
+/// Offers `4 * W` pings to a single-worker core whose only executor is
+/// held, one client each (so no per-client cap is in play), then
+/// releases the executor. Every admitted ping must complete and every
+/// shed one must carry the 40 ms retry hint. Returns how many were
+/// admitted, how many were shed, and the pick position of the last
+/// admitted ping (the held request is pick 0).
+fn offer_four_times_capacity(shed_queue_depth: usize) -> (usize, usize, usize) {
     let core = single_worker_core(ServiceConfig {
-        shed_queue_depth: 1,
+        shed_queue_depth,
         shed_retry_after_ms: 40,
+        record_schedule: true,
         ..ServiceConfig::default()
     });
     let (gate, held) = hold_worker(&core);
 
-    let queued = core
-        .submit(1, 2, Request::Ping, Arc::new(NullSink))
-        .expect("below the watermark");
-    match core.submit(2, 3, Request::Ping, Arc::new(NullSink)) {
-        Err(ServiceError::Overloaded { retry_after_ms }) => assert_eq!(retry_after_ms, 40),
-        other => panic!("expected Overloaded, got {other:?}"),
+    let mut admitted = Vec::new();
+    let mut shed = 0;
+    for client in 1..=4 * OVERLOAD_W as u64 {
+        match core.submit(client, 100 + client, Request::Ping, Arc::new(NullSink)) {
+            Ok(ticket) => admitted.push((client, ticket)),
+            Err(ServiceError::Overloaded { retry_after_ms }) => {
+                assert_eq!(retry_after_ms, 40);
+                shed += 1;
+            }
+            Err(other) => panic!("expected admission or Overloaded, got {other:?}"),
+        }
     }
     assert_eq!(
         core.stats().rejected_overloaded.load(Ordering::Relaxed),
-        1,
+        shed as u64,
         "sheds are counted separately from Busy"
     );
     assert_eq!(core.stats().rejected_busy.load(Ordering::Relaxed), 0);
 
     gate.open();
     assert!(matches!(held.wait(), Ok(Reply::Verify(_))));
-    assert!(matches!(queued.wait(), Ok(Reply::Pong)));
+    for (_, ticket) in &admitted {
+        assert!(matches!(ticket.wait(), Ok(Reply::Pong)));
+    }
     core.shutdown();
+
+    let schedule = core.schedule();
+    assert_eq!(schedule.len(), 1 + admitted.len());
+    let last = admitted.last().expect("something is admitted").0;
+    let position = schedule
+        .iter()
+        .position(|&client| client == last)
+        .expect("the last admitted ping was picked");
+    (admitted.len(), shed, position)
+}
+
+/// Admission control at four times capacity, on the pick order instead
+/// of a clock. With the global queue watermark at `W`, exactly `W` of
+/// `4W` submits are admitted and `3W` are shed fast with the configured
+/// retry hint (distinct from the per-client Busy cap); the last admitted
+/// request is served after at most `W` others. With shedding off, all
+/// `4W` queue and the last one waits behind the held request and the
+/// `4W - 1` others.
+#[test]
+fn overload_sheds_with_a_retry_hint_before_the_hard_cap() {
+    let w = OVERLOAD_W;
+    let (admitted, shed, position) = offer_four_times_capacity(w);
+    assert_eq!((admitted, shed), (w, 3 * w));
+    assert!(
+        position <= w,
+        "the last admitted request waited behind {position}"
+    );
+
+    let (admitted, shed, position) = offer_four_times_capacity(0);
+    assert_eq!((admitted, shed), (4 * w, 0));
+    assert_eq!(position, 4 * w);
 }
 
 /// The per-client in-flight cap sheds the hoarding client only; other

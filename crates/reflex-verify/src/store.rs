@@ -1196,8 +1196,10 @@ impl ScrubReport {
     }
 }
 
-/// Encodes a string as a JSON string literal (with quotes).
-fn json_str(s: &str) -> String {
+/// Encodes a string as a JSON string literal (with quotes). The one JSON
+/// string escaper of the workspace; `reflex_driver::json_string`
+/// re-exports it.
+pub fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {

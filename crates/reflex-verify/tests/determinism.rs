@@ -5,7 +5,7 @@
 //! scheduler's design (DESIGN.md §6.9). The CI `scale` job re-checks the
 //! same property end-to-end through the `rx` binary.
 
-use reflex_verify::{prove_all, prove_with, Abstraction, ProverOptions};
+use reflex_verify::{check_certificate_with, prove_all, prove_with, Abstraction, ProverOptions};
 
 fn options(jobs: usize) -> ProverOptions {
     ProverOptions {
@@ -62,7 +62,18 @@ fn generated_kernels_are_certificate_identical_serial_vs_parallel() {
         let config =
             reflex_kernels::synth::SynthConfig::preset("small", seed).expect("small preset exists");
         let kernel = reflex_kernels::synth::generate(&config);
-        assert_jobs_invariant(&kernel.name, &kernel.checked());
+        let checked = kernel.checked();
+        assert_jobs_invariant(&kernel.name, &checked);
+        // The small preset is provable by construction: every property
+        // proves and the independent checker accepts every certificate.
+        let abs = Abstraction::build(&checked, &options(1));
+        for (name, outcome) in prove_all(&checked, &options(1)) {
+            let cert = outcome
+                .certificate()
+                .unwrap_or_else(|| panic!("{}: {name} must prove", kernel.name));
+            check_certificate_with(&abs, cert, &options(1))
+                .unwrap_or_else(|e| panic!("{}: {name}: certificate rejected: {e}", kernel.name));
+        }
     }
 }
 

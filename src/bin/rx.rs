@@ -18,9 +18,7 @@
 //! rx store   migrate DIR      fold a flat-layout store into segment logs
 //! rx store   stat DIR         entry/segment/shard counts and index cost
 //! rx gen     PRESET           emit a deterministic synthetic kernel
-//! rx bench   scale            prove the generated presets, report throughput
 //! rx bench   store            flat vs log-structured store throughput
-//! rx bench   serve            storm a daemon, report req/s and latency
 //! rx client  ACTION           talk to a running rxd daemon
 //! ```
 //!
@@ -35,8 +33,7 @@
 //! property reports a timeout instead of hanging), and
 //! `--trace-json PATH` streams the session's structured stage/property
 //! events as JSON lines. `rx client ACTION --socket PATH | --tcp ADDR`
-//! sends the same requests to an already-running `rxd`; `rx bench serve`
-//! storms one with concurrent clients and writes `BENCH_serve.json`.
+//! sends the same requests to an already-running `rxd`.
 //!
 //! `rx run` accepts `--faults SPEC --supervise --monitor` to run the
 //! kernel under the supervised runtime with deterministic fault
@@ -60,7 +57,8 @@ use std::sync::Arc;
 use reflex::bench::soak::soak_program_with_plan;
 use reflex::cli::{self, FlagSpec};
 use reflex::driver::{
-    load_program, Instrument, JsonLinesSink, NullSink, SessionConfig, SessionError, VerifySession,
+    json_string, load_program, Instrument, JsonLinesSink, NullSink, SessionConfig, SessionError,
+    VerifySession,
 };
 use reflex::runtime::{EmptyWorld, FaultPlan, Interpreter, Registry};
 use reflex::service::{
@@ -75,7 +73,7 @@ use reflex::verify::{falsify, FalsifyOptions, ProverOptions};
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  rx check   FILE\n  rx verify  FILE [PROP] [--jobs N] [--stats] [--json] [--store DIR]\n             [--trace-json PATH] [--budget-ms MS] [--budget-nodes N]\n  rx watch   FILE [--jobs N] [--store DIR] [--strict-store] [--interval MS]\n             [--iterations N] [--budget-ms MS] [--budget-nodes N]\n  rx falsify FILE PROP\n  rx explain FILE PROP\n  rx show    FILE\n  rx run     FILE [STEPS [SEED]] [--faults SPEC] [--supervise] [--monitor]\n  rx soak    [--steps N] [--seed N] [--jobs N] [--kernel NAME] [--fault-rate X]\n             [--no-monitor] [--json] [--incident-dir DIR]\n  rx chaos   [--seeds A..B] [--rate PPM] [--jobs N] [--gen SEED]\n  rx sim     run [--scenario NAME] [--seed N] [--steps K] [--inject-at K]\n  rx sim     swarm [--seeds A..B] [--scenario NAME] [--steps K] [--jobs N]\n             [--json] [--repro-dir DIR]\n  rx sim     replay FILE\n  rx store   scrub|compact DIR [FILE] [--json]\n  rx store   migrate|stat DIR [--json]\n  rx gen     [PRESET] [--seed N] [--variant V] [--out PATH] [--check]\n  rx bench   scale [--seed N] [--jobs N] [--preset NAME] [--json]\n  rx bench   store [--entries N] [--lookups N] [--seed N] [--json]\n  rx bench   serve [--clients N] [--requests N] [--socket PATH | --tcp ADDR]\n             [--jobs N] [--json] [--overload]\n  rx client  ping|stats|shutdown|check FILE|verify FILE [PROP]\n             (--socket PATH | --tcp ADDR) [--json] [--stats]\n             [--budget-ms MS] [--budget-nodes N] [--deadline-ms MS]\n             [--trace-json PATH] [--retries N] [--retry-base-ms MS]\n             [--retry-seed N]\n\nrun `rx SUBCOMMAND --help` is not supported; each subcommand reports its\nown flags on a usage error."
+        "usage:\n  rx check   FILE\n  rx verify  FILE [PROP] [--jobs N] [--stats] [--json] [--store DIR]\n             [--trace-json PATH] [--budget-ms MS] [--budget-nodes N]\n  rx watch   FILE [--jobs N] [--store DIR] [--strict-store] [--interval MS]\n             [--iterations N] [--budget-ms MS] [--budget-nodes N]\n  rx falsify FILE PROP\n  rx explain FILE PROP\n  rx show    FILE\n  rx run     FILE [STEPS [SEED]] [--faults SPEC] [--supervise] [--monitor]\n  rx soak    [--steps N] [--seed N] [--jobs N] [--kernel NAME] [--fault-rate X]\n             [--no-monitor] [--json] [--incident-dir DIR]\n  rx chaos   [--seeds A..B] [--rate PPM] [--jobs N] [--gen SEED]\n  rx sim     run [--scenario NAME] [--seed N] [--steps K] [--inject-at K]\n  rx sim     swarm [--seeds A..B] [--scenario NAME] [--steps K] [--jobs N]\n             [--json] [--repro-dir DIR]\n  rx sim     replay FILE\n  rx store   scrub|compact DIR [FILE] [--json]\n  rx store   migrate|stat DIR [--json]\n  rx gen     [PRESET] [--seed N] [--variant V] [--out PATH] [--check]\n  rx bench   store [--entries N] [--lookups N] [--seed N] [--json]\n  rx client  ping|stats|shutdown|check FILE|verify FILE [PROP]\n             (--socket PATH | --tcp ADDR) [--json] [--stats]\n             [--budget-ms MS] [--budget-nodes N] [--deadline-ms MS]\n             [--trace-json PATH] [--retries N] [--retry-base-ms MS]\n             [--retry-seed N]\n\nrun `rx SUBCOMMAND --help` is not supported; each subcommand reports its\nown flags on a usage error."
     );
     ExitCode::from(2)
 }
@@ -392,57 +390,22 @@ const BENCH_FLAGS: &[FlagSpec] = &[
     FlagSpec {
         name: "--seed",
         value: Some("N"),
-        help: "generator seed (default 1)",
-    },
-    FlagSpec {
-        name: "--jobs",
-        value: Some("N"),
-        help: "N proof threads in total (0: one per CPU)",
-    },
-    FlagSpec {
-        name: "--preset",
-        value: Some("NAME"),
-        help: "measure only this preset (small | medium | large)",
+        help: "certificate generator seed (default 1)",
     },
     FlagSpec {
         name: "--json",
         value: None,
-        help: "also write BENCH_scale.json / BENCH_store.json",
+        help: "also write BENCH_store.json",
     },
     FlagSpec {
         name: "--entries",
         value: Some("N"),
-        help: "bench store: certificates to write (default 100000)",
+        help: "certificates to write (default 100000)",
     },
     FlagSpec {
         name: "--lookups",
         value: Some("N"),
-        help: "bench store: warm lookups to time (default 200000)",
-    },
-    FlagSpec {
-        name: "--clients",
-        value: Some("N"),
-        help: "bench serve: concurrent client connections (default 8)",
-    },
-    FlagSpec {
-        name: "--requests",
-        value: Some("N"),
-        help: "bench serve: verify requests per client (default 16)",
-    },
-    FlagSpec {
-        name: "--socket",
-        value: Some("PATH"),
-        help: "bench serve: storm the daemon on this unix socket",
-    },
-    FlagSpec {
-        name: "--tcp",
-        value: Some("ADDR"),
-        help: "bench serve: storm the daemon at this TCP address",
-    },
-    FlagSpec {
-        name: "--overload",
-        value: None,
-        help: "bench serve: also drive 4x capacity with and without shedding",
+        help: "warm lookups to time (default 200000)",
     },
 ];
 
@@ -579,7 +542,7 @@ const COMMANDS: &[CommandSpec] = &[
     },
     CommandSpec {
         name: "bench",
-        synopsis: "scale | store | serve",
+        synopsis: "store",
         flags: BENCH_FLAGS,
         run: cmd_bench,
     },
@@ -724,20 +687,24 @@ fn cmd_verify(parsed: &cli::Parsed) -> Result<(), CliError> {
 
 /// Renders a verify report and turns proof failures into the exit-1
 /// error, identically for the in-process path and `rx client verify`.
+/// With `--json`, stdout is the report's one JSON document and nothing
+/// else; a failure's message still goes to stderr.
 fn render_verify_report(
     parsed: &cli::Parsed,
     store_mode: bool,
     report: &reflex::driver::SessionReport,
 ) -> Result<(), CliError> {
-    print!("{}", report.render_properties());
-    if store_mode {
-        println!("{}", report.summary());
-    }
-    if parsed.is_set("--stats") {
-        print!("{}", report.render_stats());
-    }
-    if parsed.is_set("--json") {
+    let json = parsed.is_set("--json");
+    if json {
         println!("{}", report.render_json());
+    } else {
+        print!("{}", report.render_properties());
+        if store_mode {
+            println!("{}", report.summary());
+        }
+        if parsed.is_set("--stats") {
+            print!("{}", report.render_stats());
+        }
     }
     let failures = report.failures();
     if failures > 0 {
@@ -750,7 +717,9 @@ fn render_verify_report(
             format!("{failures} propert(y/ies) failed to verify")
         }))
     } else {
-        println!("all properties verified.");
+        if !json {
+            println!("all properties verified.");
+        }
         Ok(())
     }
 }
@@ -1091,52 +1060,19 @@ fn cmd_gen(parsed: &cli::Parsed) -> Result<(), CliError> {
     Ok(())
 }
 
-/// `rx bench scale [--seed N] [--jobs N] [--preset NAME] [--json]`: prove
-/// the generated presets and report throughput; with `--json`, also write
-/// `BENCH_scale.json` pairing the live rows with the committed
-/// pre-optimization baseline.
-fn cmd_bench(parsed: &cli::Parsed) -> Result<(), CliError> {
-    use reflex::bench::scale::{render_scale, render_scale_json, run_scale, PRESETS};
-    match parsed.positional.as_slice() {
-        [action] if action == "scale" => {}
-        [action] if action == "store" => return cmd_bench_store(parsed),
-        [action] if action == "serve" => return cmd_bench_serve(parsed),
-        _ => {
-            return Err(CliError::Usage(
-                "expected the `scale`, `store` or `serve` operand".into(),
-            ))
-        }
-    }
-    let seed: u64 = parsed.get("--seed", 1).map_err(CliError::Usage)?;
-    let jobs: usize = parsed.get("--jobs", 1).map_err(CliError::Usage)?;
-    let presets: Vec<&str> = match parsed.value("--preset") {
-        Some(p) if PRESETS.contains(&p) => vec![p],
-        Some(p) => {
-            return Err(CliError::Usage(format!(
-                "unknown preset `{p}` (expected small, medium or large)"
-            )))
-        }
-        None => PRESETS.to_vec(),
-    };
-    let rows = run_scale(&presets, seed, jobs).map_err(CliError::run)?;
-    print!("{}", render_scale(&rows));
-    if parsed.is_set("--json") {
-        std::fs::write("BENCH_scale.json", render_scale_json(&rows))
-            .map_err(|e| CliError::Run(format!("BENCH_scale.json: {e}")))?;
-        println!("wrote BENCH_scale.json");
-    }
-    Ok(())
-}
-
 /// `rx bench store [--entries N] [--lookups N] [--seed N] [--json]`: the
 /// proof-store stress bench — N synthetic certificates written to a
 /// flat-layout store and to the log-structured store, then timed for
 /// open, warm lookup and write throughput; with `--json`, also write
 /// `BENCH_store.json` pairing both layouts with their speedups.
-fn cmd_bench_store(parsed: &cli::Parsed) -> Result<(), CliError> {
+fn cmd_bench(parsed: &cli::Parsed) -> Result<(), CliError> {
     use reflex::bench::store::{
         render_store, render_store_json, run_store_bench, StoreBenchConfig,
     };
+    match parsed.positional.as_slice() {
+        [action] if action == "store" => {}
+        _ => return Err(CliError::Usage("expected the `store` operand".into())),
+    }
     let cfg = StoreBenchConfig {
         entries: parsed.get("--entries", 100_000).map_err(CliError::Usage)?,
         lookups: parsed.get("--lookups", 200_000).map_err(CliError::Usage)?,
@@ -1153,39 +1089,6 @@ fn cmd_bench_store(parsed: &cli::Parsed) -> Result<(), CliError> {
         std::fs::write("BENCH_store.json", render_store_json(&bench))
             .map_err(|e| CliError::Run(format!("BENCH_store.json: {e}")))?;
         println!("wrote BENCH_store.json");
-    }
-    Ok(())
-}
-
-/// `rx bench serve [--clients N] [--requests N] [--socket PATH | --tcp
-/// ADDR] [--jobs N] [--json]`: storm a daemon (an in-process one on a
-/// scratch unix socket by default) with concurrent closed-loop clients
-/// and report sustained req/s plus p50/p95/p99 latency; with `--json`,
-/// also write `BENCH_serve.json`. Fails on any protocol error or
-/// failed proof under load.
-fn cmd_bench_serve(parsed: &cli::Parsed) -> Result<(), CliError> {
-    use reflex::bench::serve::{
-        render_serve, render_serve_json, run_serve_bench, ServeBenchConfig,
-    };
-    let cfg = ServeBenchConfig {
-        clients: parsed.get("--clients", 8).map_err(CliError::Usage)?,
-        requests: parsed.get("--requests", 16).map_err(CliError::Usage)?,
-        endpoint: endpoint_flags(parsed)?,
-        jobs: parsed.get("--jobs", 1).map_err(CliError::Usage)?,
-        workers: 0,
-        overload: parsed.is_set("--overload"),
-    };
-    if cfg.clients == 0 || cfg.requests == 0 {
-        return Err(CliError::Usage(
-            "--clients and --requests must be at least 1".into(),
-        ));
-    }
-    let bench = run_serve_bench(&cfg).map_err(CliError::run)?;
-    print!("{}", render_serve(&bench));
-    if parsed.is_set("--json") {
-        std::fs::write("BENCH_serve.json", render_serve_json(&bench))
-            .map_err(|e| CliError::Run(format!("BENCH_serve.json: {e}")))?;
-        println!("wrote BENCH_serve.json");
     }
     Ok(())
 }
@@ -1265,15 +1168,6 @@ fn render_stats_snapshot(s: &StatsSnapshot, json: bool) -> String {
 /// object carrying the typed `ERR_*` code.
 fn client_error(json: bool, e: ClientError) -> CliError {
     if json {
-        let escaped: String = e
-            .to_string()
-            .chars()
-            .flat_map(|c| match c {
-                '"' | '\\' => vec!['\\', c],
-                '\n' => vec!['\\', 'n'],
-                c => vec![c],
-            })
-            .collect();
         let code = match e.remote_code() {
             Some(code) => code.to_string(),
             None => "null".to_owned(),
@@ -1283,7 +1177,8 @@ fn client_error(json: bool, e: ClientError) -> CliError {
             None => "null".to_owned(),
         };
         println!(
-            "{{\"error\": \"{escaped}\", \"code\": {code}, \"retryable\": {}, \"retry_after_ms\": {retry_after}}}",
+            "{{\"error\": {}, \"code\": {code}, \"retryable\": {}, \"retry_after_ms\": {retry_after}}}",
+            json_string(&e.to_string()),
             e.is_retryable()
         );
     }

@@ -316,13 +316,28 @@ fn watch_starts_degraded_when_the_store_cannot_open() {
 
 #[test]
 fn chaos_single_seed_upholds_invariants_and_writes_json() {
-    let (ok, stdout, stderr) = rx(&["chaos", "--seeds", "0..1"]);
-    assert!(ok, "{stdout}\n{stderr}");
+    // `rx chaos` writes BENCH_chaos.json into its working directory: run
+    // it in a scratch one so the committed report stays untouched.
+    let dir = std::env::temp_dir().join(format!("rx-cli-chaos-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let out = Command::new(env!("CARGO_BIN_EXE_rx"))
+        .args(["chaos", "--seeds", "0..1"])
+        .current_dir(&dir)
+        .output()
+        .expect("rx runs");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "{stdout}\n{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     assert!(
         stdout.contains("all robustness invariants held"),
         "{stdout}"
     );
-    let json = std::fs::read_to_string("BENCH_chaos.json").expect("BENCH_chaos.json written");
+    let json =
+        std::fs::read_to_string(dir.join("BENCH_chaos.json")).expect("BENCH_chaos.json written");
+    let _ = std::fs::remove_dir_all(&dir);
     assert!(json.contains(r#""invariants_held": true"#), "{json}");
     assert!(json.contains(r#""aborts": 0"#), "{json}");
 }
@@ -396,13 +411,63 @@ fn client_json_errors_carry_the_typed_code() {
 }
 
 #[test]
-fn bench_serve_validates_its_flags() {
-    let (ok, _, stderr) = rx(&["bench", "serve", "--clients", "0"]);
+fn bench_accepts_only_store() {
+    for operand in ["serve", "scale"] {
+        let (ok, _, stderr) = rx(&["bench", operand]);
+        assert!(!ok);
+        assert!(stderr.contains("expected the `store` operand"), "{stderr}");
+    }
+    let (ok, _, stderr) = rx(&["bench", "store", "--clients", "8"]);
     assert!(!ok);
-    assert!(stderr.contains("at least 1"), "{stderr}");
-    let (ok, _, stderr) = rx(&["bench", "serve", "--socket", "a", "--tcp", "b"]);
-    assert!(!ok);
-    assert!(stderr.contains("not both"), "{stderr}");
+    assert!(stderr.contains("unknown flag"), "{stderr}");
+}
+
+/// Asserts that `stdout` is one JSON object and nothing else.
+fn assert_one_json_document(stdout: &str) {
+    let trimmed = stdout.trim();
+    assert!(
+        trimmed.starts_with('{') && trimmed.ends_with('}'),
+        "stdout is not one JSON document:\n{stdout}"
+    );
+    assert_eq!(trimmed.lines().count(), 1, "{stdout}");
+}
+
+#[test]
+fn verify_json_prints_only_the_report() {
+    let (ok, stdout, stderr) = rx(&["verify", &kernel("car"), "--json", "--stats"]);
+    assert!(ok, "{stderr}");
+    assert_one_json_document(&stdout);
+    assert!(stdout.contains("\"failed\":0"), "{stdout}");
+
+    let dir = std::env::temp_dir().join(format!("rx-cli-json-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let path = dir.join("bad.rx");
+    std::fs::write(
+        &path,
+        r#"
+components { C "c.py" (); }
+messages { A(); B(); }
+init { c0 <- spawn C(); }
+handlers {
+  when C:B() { send(c0, B()); }
+}
+properties {
+  Bogus: [Send(C(), A())] Enables [Send(C(), B())];
+}
+"#,
+    )
+    .expect("write");
+    let out = Command::new(env!("CARGO_BIN_EXE_rx"))
+        .args(["verify", path.to_str().expect("utf8"), "--json"])
+        .output()
+        .expect("rx runs");
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(out.status.code(), Some(1));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_one_json_document(&stdout);
+    assert!(stdout.contains("\"failed\":1"), "{stdout}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("failed to verify"), "{stderr}");
 }
 
 #[test]
@@ -444,8 +509,16 @@ fn daemon_serves_rx_client_over_a_unix_socket() {
     assert!(stdout.contains("properties"), "{stdout}");
 
     // The verify reuses the program the check made resident.
-    let (ok, _, stderr) = rx(&["client", "--socket", sock, "verify", &kernel("car")]);
+    let (ok, stdout, stderr) = rx(&[
+        "client",
+        "--socket",
+        sock,
+        "verify",
+        &kernel("car"),
+        "--json",
+    ]);
     assert!(ok, "{stderr}");
+    assert_one_json_document(&stdout);
 
     let (ok, stdout, _) = rx(&["client", "--socket", sock, "stats", "--json"]);
     assert!(ok);
