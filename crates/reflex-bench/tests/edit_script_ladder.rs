@@ -132,3 +132,65 @@ fn every_step_of_the_edit_script_lands_on_its_pinned_rung() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// The same script through `verify_source` on one store-backed env, as
+/// `rxd --store` serves it: sources the env already holds are answered
+/// from their resident programs' checked certificates before the store is
+/// consulted. The ladder is the same; the store is read no more often.
+#[test]
+fn the_daemon_path_lands_on_the_same_rungs_and_reads_the_store_no_more() {
+    let dir = std::env::temp_dir().join(format!("rx-edit-resident-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let stored = session(Some(dir.to_string_lossy().into_owned()));
+    let storeless = session(None);
+    let serve = |name: &str, source: &str| {
+        stored
+            .verify_source(name, source, &NullSink)
+            .unwrap_or_else(|e| panic!("{name}: {e}"))
+    };
+
+    let mut sources = [
+        ("ssh", ssh::SOURCE.to_owned()),
+        ("browser", browser::SOURCE.to_owned()),
+    ];
+    for (name, source) in &sources {
+        let report = serve(name, source);
+        assert_eq!(
+            report.reproved.len(),
+            report.outcomes.len(),
+            "{name}: prime"
+        );
+    }
+
+    let script = edit_script();
+    assert_eq!(script.len(), LADDER.len());
+    for (step, &(reused, partial, reproved, loaded)) in script.iter().zip(&LADDER) {
+        let (_, source) = sources
+            .iter_mut()
+            .find(|(name, _)| *name == step.kernel)
+            .expect("scripted kernel");
+        *source = source.replacen(step.find, step.replace, 1);
+
+        let warm = serve(step.kernel, source);
+        assert_eq!(warm.failures(), 0, "{}", warm.render_properties());
+        assert_eq!(
+            (warm.reused.len(), warm.partial.len(), warm.reproved.len()),
+            (reused, partial, reproved),
+            "{}: (reused, partial, reproved)",
+            step.label
+        );
+        assert!(
+            warm.store_loaded <= loaded,
+            "{}: {} loaded, the ladder reads {loaded}",
+            step.label,
+            warm.store_loaded
+        );
+        let cold = verify(&storeless, step.kernel, source);
+        assert!(
+            certificates(&warm) == certificates(&cold),
+            "{}: daemon-path certificates differ from a storeless run",
+            step.label
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -23,9 +23,11 @@
 //!
 //! The planner is *untrusted*, like the proof search itself: a planning
 //! bug can cost a missed reuse or a certificate that fails the independent
-//! checker — never a wrong "Proved". Reused content is exactly as
-//! trustworthy as the original run's; certificates loaded from unreliable
-//! media (the on-disk proof store) are additionally re-validated through
+//! checker — never a wrong "Proved". Trust follows where a certificate
+//! came from: one produced earlier in this process ([`VerifyRun::previous`])
+//! is exactly as trustworthy as the run that produced it, while one read
+//! from unreliable media such as the on-disk proof store
+//! ([`VerifyRun::loaded`]) is re-validated through
 //! [`crate::check_certificate`] before being trusted at all.
 //!
 //! The ladder is also the one verification engine: [`reverify_core`]
@@ -109,7 +111,9 @@ impl<'c> DepGraph<'c> {
     /// [`VerifyError::DuplicateCertificate`] when a name appears twice,
     /// [`VerifyError::CertificateMismatch`] when a pair's certificate was
     /// issued for a different property than the name it is filed under.
-    pub fn build(previous: &'c [(String, Certificate)]) -> Result<DepGraph<'c>, VerifyError> {
+    pub fn build(
+        previous: impl IntoIterator<Item = &'c (String, Certificate)>,
+    ) -> Result<DepGraph<'c>, VerifyError> {
         let mut certs: BTreeMap<&str, &Certificate> = BTreeMap::new();
         let mut dependents: BTreeMap<(String, String), Vec<&str>> = BTreeMap::new();
         for (name, cert) in previous {
@@ -246,11 +250,11 @@ pub fn reverify(
 /// [`PropObserver`] invoked as each outcome is decided, and an explicit
 /// trust decision for `previous`.
 ///
-/// With `validate` set, every certificate the run returns — reused,
-/// spliced or fresh — passes [`crate::check_certificate`] against `new`
-/// first ([`Checks::All`]): required when `previous` came from unreliable
-/// media like the on-disk proof store. Leave it unset for certificates
-/// produced in this process.
+/// With `validate` set, `previous` is treated as [`VerifyRun::loaded`]
+/// and every certificate the run returns — reused, spliced or fresh —
+/// passes [`crate::check_certificate`] against `new` first: required when
+/// `previous` came from unreliable media like the on-disk proof store.
+/// Leave it unset for certificates produced in this process.
 pub fn reverify_observed(
     previous: &[(String, Certificate)],
     new: &CheckedProgram,
@@ -259,12 +263,18 @@ pub fn reverify_observed(
     validate: bool,
     observer: Option<PropObserver<'_>>,
 ) -> Result<IncrementalReport, VerifyError> {
+    let (previous, loaded, checks) = if validate {
+        (&[][..], previous, Checks::Produced)
+    } else {
+        (previous, &[][..], Checks::None)
+    };
     reverify_core(
         new,
         &with_jobs(options, jobs),
         VerifyRun {
             previous,
-            checks: if validate { Checks::All } else { Checks::None },
+            loaded,
+            checks,
             observer,
             ..VerifyRun::default()
         },
@@ -308,31 +318,36 @@ impl Reuse {
 /// threads, in completion (not declaration) order.
 pub type PropObserver<'a> = &'a (dyn Fn(&str, Reuse, &Outcome, f64) + Sync);
 
-/// Which certificates an engine run passes through the independent
-/// checker ([`crate::check_certificate_with`]) before returning them.
+/// Which certificates an engine run produces that it passes through the
+/// independent checker ([`crate::check_certificate_with`]) before
+/// returning them. Full reuses of [`VerifyRun::previous`] are returned as
+/// they are, and everything built on [`VerifyRun::loaded`] is checked,
+/// whatever this says: trust follows where a certificate came from.
 ///
 /// A rejected reused or spliced certificate falls back to a re-prove; a
 /// rejected fresh certificate is a prover bug and fails the run with
 /// [`VerifyError::CertificateRejected`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Checks {
-    /// Check nothing.
+    /// Check only what was built on loaded certificates.
     #[default]
     None,
     /// Check every certificate this run produced (fresh proofs and
-    /// per-case splices), but return full reuses of `previous` as they
-    /// are: they come from an earlier run in this process.
+    /// per-case splices) as well.
     Produced,
-    /// Check everything, full reuses included: `previous` came from
-    /// unreliable media such as the proof store.
-    All,
 }
 
 /// One engine run's inputs beyond the program and the options.
 #[derive(Clone, Copy, Default)]
 pub struct VerifyRun<'a> {
-    /// Certificates of an earlier run, planned onto the reuse ladder.
+    /// Certificates an earlier run produced in this process, planned onto
+    /// the reuse ladder; a full reuse returns one as it is.
     pub previous: &'a [(String, Certificate)],
+    /// Certificates read from unreliable media such as the proof store,
+    /// planned like `previous`. Each one, and each splice of one, passes
+    /// the checker before it is returned; a rejected one is re-proved. No
+    /// property may appear in both slices.
+    pub loaded: &'a [(String, Certificate)],
     /// Verify only this property (every property when `None`).
     pub property: Option<&'a str>,
     /// Cross-property proof cache; `None` gives the run a fresh one.
@@ -350,9 +365,10 @@ pub struct VerifyRun<'a> {
 /// The verification engine: the one place proof work fans out.
 ///
 /// Every requested property is planned onto the reuse ladder (all plans
-/// are [`ReusePlan::Reprove`] when `run.previous` is empty). `Reprove`
-/// plans split into their obligations (`oblig.rs`); `Full`/`Partial`
-/// plans and whole properties (`Enables`/`Disables`) are single units.
+/// are [`ReusePlan::Reprove`] when `run.previous` and `run.loaded` are
+/// empty). `Reprove` plans split into their obligations (`oblig.rs`);
+/// `Full`/`Partial` plans and whole properties (`Enables`/`Disables`)
+/// are single units.
 /// The units run on the [`crate::sched`] pool with
 /// [`ProverOptions::jobs`] workers in three passes — prepare every
 /// property, discharge every obligation of every property, assemble and
@@ -372,15 +388,15 @@ pub struct VerifyRun<'a> {
 /// # Errors
 ///
 /// [`VerifyError::NoSuchProperty`] for an unknown `run.property`,
-/// malformed `run.previous` (see [`DepGraph::build`]), and
-/// [`VerifyError::CertificateRejected`] when a fresh certificate fails a
-/// requested check.
+/// malformed `run.previous` and `run.loaded` (see [`DepGraph::build`]),
+/// and [`VerifyError::CertificateRejected`] when a fresh certificate
+/// fails a requested check.
 pub fn reverify_core(
     new: &CheckedProgram,
     options: &ProverOptions,
     run: VerifyRun<'_>,
 ) -> Result<IncrementalReport, VerifyError> {
-    let graph = DepGraph::build(run.previous)?;
+    let graph = DepGraph::build(run.previous.iter().chain(run.loaded))?;
     let props: Vec<&PropertyDecl> = match run.property {
         Some(name) => {
             vec![new
@@ -633,10 +649,11 @@ impl<'a, 'p> Engine<'a, 'p> {
         Ok(decided)
     }
 
-    /// Runs a `Full` or `Partial` plan. Content that fails a requested
-    /// check is re-proved from scratch instead.
+    /// Runs a `Full` or `Partial` plan. Content that fails a check is
+    /// re-proved from scratch instead.
     fn reuse(&self, prop: &PropertyDecl, plan: &ReusePlan) -> Decided {
         let name = &prop.name;
+        let loaded = self.run.loaded.iter().any(|(n, _)| n == name);
         let passes = |cert: &Certificate| {
             crate::check_certificate_with(self.abs, cert, self.options).is_ok()
         };
@@ -648,7 +665,7 @@ impl<'a, 'p> Engine<'a, 'p> {
         let prior = self.graph.certificate(name);
         match (plan, prior) {
             (ReusePlan::Full, Some(cert)) => {
-                if self.run.checks == Checks::All && !passes(cert) {
+                if loaded && !passes(cert) {
                     return reprove();
                 }
                 (Outcome::Proved(cert.clone()), Reuse::Full)
@@ -673,7 +690,7 @@ impl<'a, 'p> Engine<'a, 'p> {
                         self.abs.ranges_fp(),
                         cert,
                     ));
-                    if self.run.checks != Checks::None && !passes(cert) {
+                    if (loaded || self.run.checks != Checks::None) && !passes(cert) {
                         return reprove();
                     }
                 }

@@ -76,8 +76,8 @@ pub use options::{
     catch_crash, resolve_jobs, Outcome, PanicPlan, ProofFailure, ProverOptions, VerifyError,
 };
 pub use store::{
-    load_candidates, persist_outcomes, verify_with_store, ProofStore, ScrubReport, StoreHead,
-    StoreReport, StoreStat, QUARANTINE_DIR, STORE_VERSION,
+    load_candidates, load_candidates_where, persist_outcomes, verify_with_store, ProofStore,
+    ScrubReport, StoreHead, StoreReport, StoreStat, QUARANTINE_DIR, STORE_VERSION,
 };
 pub use vfs::{FaultyFs, FsFault, FsFaultPlan, FsOp, RealFs, VerifyFs};
 

@@ -1774,7 +1774,8 @@ pub struct StoreReport {
 /// record (planned onto the full/per-case/re-prove ladder exactly like an
 /// in-memory [`crate::reverify`]). Every certificate returned — reused,
 /// spliced or fresh — passes [`crate::check_certificate`] against `new`
-/// first ([`crate::Checks::All`]); rejected candidates are re-proved from
+/// first (the candidates are the run's [`crate::VerifyRun::loaded`], under
+/// [`crate::Checks::Produced`]); rejected candidates are re-proved from
 /// scratch.
 ///
 /// Persistence is best-effort: I/O failures while writing back cost future
@@ -1792,14 +1793,14 @@ pub fn verify_with_store(
     store: &ProofStore,
     jobs: usize,
 ) -> Result<StoreReport, VerifyError> {
-    let previous = load_candidates(new, options, store);
-    let loaded = previous.len();
+    let candidates = load_candidates(new, options, store);
+    let loaded = candidates.len();
     let report = crate::reverify_core(
         new,
         &crate::incremental::with_jobs(options, jobs),
         crate::VerifyRun {
-            previous: &previous,
-            checks: crate::Checks::All,
+            loaded: &candidates,
+            checks: crate::Checks::Produced,
             ..crate::VerifyRun::default()
         },
     )?;
@@ -1816,8 +1817,8 @@ pub fn verify_with_store(
 /// current program fingerprint, then the previous run's entries via the
 /// head record — filtered down to decodable, correctly-filed candidates.
 ///
-/// The returned slice feeds the reuse planner
-/// ([`crate::reverify_core`] with [`crate::Checks::All`], or
+/// The returned slice feeds the reuse planner (as
+/// [`crate::VerifyRun::loaded`] of [`crate::reverify_core`], or
 /// [`crate::DepGraph`] directly); nothing in it is trusted until it passes
 /// the independent checker.
 pub fn load_candidates(
@@ -1825,13 +1826,34 @@ pub fn load_candidates(
     options: &ProverOptions,
     store: &ProofStore,
 ) -> Vec<(String, Certificate)> {
+    load_candidates_where(new, options, store, |_| true)
+}
+
+/// [`load_candidates`] for the properties `wanted` accepts only. When it
+/// accepts none of `new`'s properties, nothing is read from the store,
+/// not even the head record.
+pub fn load_candidates_where(
+    new: &CheckedProgram,
+    options: &ProverOptions,
+    store: &ProofStore,
+    wanted: impl Fn(&str) -> bool,
+) -> Vec<(String, Certificate)> {
+    let props: Vec<&str> = new
+        .program()
+        .properties
+        .iter()
+        .map(|p| p.name.as_str())
+        .filter(|name| wanted(name))
+        .collect();
+    if props.is_empty() {
+        return Vec::new();
+    }
     let fps = new.fingerprints();
     let opts_fp = options.fingerprint();
     let head = store.load_head(&new.program().name, opts_fp);
 
     let mut previous: Vec<(String, Certificate)> = Vec::new();
-    for prop in &new.program().properties {
-        let name = &prop.name;
+    for name in props {
         let exact = fps
             .property(name)
             .and_then(|pfp| store.load(fps.program, pfp, opts_fp));
@@ -1848,10 +1870,10 @@ pub fn load_candidates(
         // filter it here so planning (which treats that as a caller bug in
         // the in-memory API) just sees a miss.
         if let Some(cert) = candidate {
-            if cert.property() == *name {
+            if cert.property() == name {
                 // The planner wants owned certificates; one deep clone per
                 // candidate per run, off the hot lookup path.
-                previous.push((name.clone(), (*cert).clone()));
+                previous.push((name.to_owned(), (*cert).clone()));
             }
         }
     }
