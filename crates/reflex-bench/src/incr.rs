@@ -1,7 +1,8 @@
 //! The scripted 20-edit editing session over the ssh and web-browser
 //! kernels, replayed through the on-disk proof store by perfbench's
-//! edit-store workload, by `rx chaos` and by the `edit_script_ladder`
-//! test, which pins every step's reuse classification.
+//! edit-store workload, by the simulator's `chaos` scenario (under store
+//! faults) and by the `edit_script_ladder` test, which pins every step's
+//! reuse classification.
 //!
 //! The script is chosen to exercise the whole reuse ladder:
 //!
@@ -155,4 +156,52 @@ pub fn edit_script() -> Vec<EditStep> {
         });
     }
     script
+}
+
+/// The session as the sources an editor saves, in order: both base
+/// kernels (ssh, then browser), then the edited kernel's source after
+/// each step of [`edit_script`], as `(kernel, source)` pairs.
+///
+/// # Panics
+///
+/// If a step's `find` text does not occur in its kernel's current source.
+pub fn session_sources() -> Vec<(&'static str, String)> {
+    let mut current = [
+        ("ssh", reflex_kernels::ssh::SOURCE.to_owned()),
+        ("browser", reflex_kernels::browser::SOURCE.to_owned()),
+    ];
+    let mut sources = current.to_vec();
+    for step in edit_script() {
+        let (_, source) = current
+            .iter_mut()
+            .find(|(kernel, _)| *kernel == step.kernel)
+            .expect("scripted kernel");
+        assert!(
+            source.contains(step.find),
+            "edit '{}' does not apply",
+            step.label
+        );
+        *source = source.replacen(step.find, step.replace, 1);
+        sources.push((step.kernel, source.clone()));
+    }
+    sources
+}
+
+/// [`session_sources`], parsed and type-checked.
+///
+/// # Panics
+///
+/// If an edit does not apply, or leaves its kernel unparseable or
+/// ill-typed.
+pub fn session_programs() -> Vec<(&'static str, reflex_typeck::CheckedProgram)> {
+    session_sources()
+        .into_iter()
+        .map(|(kernel, source)| {
+            let program = reflex_parser::parse_program(kernel, &source)
+                .unwrap_or_else(|e| panic!("{kernel} must stay parseable: {e}"));
+            let checked = reflex_typeck::check(&program)
+                .unwrap_or_else(|e| panic!("{kernel} must stay well-typed: {e}"));
+            (kernel, checked)
+        })
+        .collect()
 }

@@ -21,7 +21,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod chaos;
 pub mod incr;
 pub mod soak;
 pub mod store;

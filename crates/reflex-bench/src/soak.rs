@@ -1,30 +1,28 @@
 //! Long-horizon soak testing of the supervised runtime.
 //!
-//! Every Figure-6 kernel is driven for a configurable number of exchanges
-//! under a randomized (but fully deterministic) fault plan: external-call
+//! One kernel is driven for a configurable number of exchanges under a
+//! randomized (but fully deterministic) fault plan: external-call
 //! failures and timeouts, component crashes, message drop/duplication/
 //! reordering. The supervisor must recover from all of it, the runtime
 //! monitor must find no certificate violation, and — after a cooldown
 //! with fault injection disarmed — no component may remain down.
 //!
-//! Outcomes carry 64-bit fingerprints of the committed trace and the
-//! incident log, so determinism tests can assert byte-identical behavior
-//! across seeds, processes and `--jobs` values without shipping whole
-//! traces around.
-
-use std::collections::BTreeMap;
-use std::time::{Duration, Instant};
+//! The simulator's `soak` scenario soaks every bundled kernel plus a
+//! generated one this way, and `rx run --faults/--supervise/--monitor`
+//! drives a user kernel with the same workload. Outcomes carry 64-bit
+//! fingerprints of the committed trace and the incident log, so
+//! determinism tests can assert byte-identical behavior across seeds and
+//! processes without shipping whole traces around.
 
 use rand::RngExt;
 use reflex_rng::SimRng;
 
 use reflex_ast::fingerprint::FpHasher;
 use reflex_ast::{CompId, Fdesc, Ty, Value};
-use reflex_kernels::{all_benchmarks, Benchmark};
-use reflex_runtime::{EmptyWorld, FaultPlan, RetryPolicy, SupStep, Supervisor, SupervisorConfig};
+use reflex_runtime::{
+    render_incident_log, EmptyWorld, FaultPlan, RetryPolicy, SupStep, Supervisor, SupervisorConfig,
+};
 use reflex_trace::Msg;
-
-pub use reflex_runtime::{render_incident_log, IncidentReport};
 
 /// Soak parameters.
 #[derive(Debug, Clone, Copy)]
@@ -33,7 +31,7 @@ pub struct SoakConfig {
     /// cooldown phase).
     pub steps: usize,
     /// Global seed; per-kernel seeds are derived from it and the kernel's
-    /// index, so outcomes are independent of scheduling across workers.
+    /// index, so each kernel's outcome is independent of the others.
     pub seed: u64,
     /// Per-exchange probability of one injected fault operation.
     pub fault_rate: f64,
@@ -41,8 +39,6 @@ pub struct SoakConfig {
     pub world_fault_rate: f64,
     /// Re-check certificates online with the runtime monitor.
     pub monitor: bool,
-    /// Worker threads (0 = one per available core).
-    pub jobs: usize,
 }
 
 impl Default for SoakConfig {
@@ -53,7 +49,6 @@ impl Default for SoakConfig {
             fault_rate: 0.01,
             world_fault_rate: 0.02,
             monitor: true,
-            jobs: 0,
         }
     }
 }
@@ -73,8 +68,6 @@ pub struct SoakOutcome {
     pub trace_fingerprint: u64,
     /// FNV-1a fingerprint of the rendered incident log.
     pub incident_fingerprint: u64,
-    /// Incident counts by [`IncidentKind::label`](reflex_runtime::IncidentKind::label).
-    pub incident_counts: BTreeMap<&'static str, usize>,
     /// Total incidents.
     pub incidents: usize,
     /// The rendered incident log (one line per incident).
@@ -83,8 +76,6 @@ pub struct SoakOutcome {
     pub unrecovered: usize,
     /// Monitor or unrecoverable runtime error, if any (must be `None`).
     pub failure: Option<String>,
-    /// Wall-clock for this kernel's soak.
-    pub elapsed: Duration,
 }
 
 /// SplitMix64-style derivation of per-kernel seeds from the global seed —
@@ -130,16 +121,10 @@ fn random_payload(rng: &mut SimRng, tys: &[Ty], comps: &[CompId]) -> Vec<Value> 
         .collect()
 }
 
-/// Soaks one kernel under a randomized fault plan derived from
-/// `cfg.seed` and `index` (its position in the kernel list). Fully
-/// deterministic: the same `(kernel, cfg, index)` yields the same
-/// fingerprints, on any machine, with any `jobs` value.
-pub fn soak_kernel(bench: &Benchmark, cfg: &SoakConfig, index: usize) -> SoakOutcome {
-    soak_program(bench.name, &(bench.checked)(), cfg, index)
-}
-
-/// [`soak_kernel`] for an arbitrary checked program — used by
-/// `rx run --faults` to drive user kernels with the soak workload.
+/// Soaks one checked program under a randomized fault plan derived from
+/// `cfg.seed` and `index` (its position in the caller's kernel list).
+/// Fully deterministic: the same `(program, cfg, index)` yields the same
+/// fingerprints, on any machine.
 pub fn soak_program(
     name: &str,
     checked: &reflex_typeck::CheckedProgram,
@@ -159,7 +144,6 @@ pub fn soak_program_with_plan(
     index: usize,
     plan: Option<FaultPlan>,
 ) -> SoakOutcome {
-    let t0 = Instant::now();
     let seed = derive_seed(cfg.seed, index);
     let catalog = build_catalog(checked);
     let plan =
@@ -187,12 +171,10 @@ pub fn soak_program_with_plan(
                 trace_len: 0,
                 trace_fingerprint: 0,
                 incident_fingerprint: 0,
-                incident_counts: BTreeMap::new(),
                 incidents: 0,
                 incident_log: String::new(),
                 unrecovered: 0,
                 failure: Some(e.to_string()),
-                elapsed: t0.elapsed(),
             }
         }
     };
@@ -250,10 +232,6 @@ pub fn soak_program_with_plan(
     let incident_log = render_incident_log(&incidents);
     let mut incident_fp = FpHasher::new();
     incident_fp.write(incident_log.as_bytes());
-    let mut incident_counts: BTreeMap<&'static str, usize> = BTreeMap::new();
-    for i in &incidents {
-        *incident_counts.entry(i.kind.label()).or_insert(0) += 1;
-    }
 
     SoakOutcome {
         kernel: name.to_owned(),
@@ -262,12 +240,10 @@ pub fn soak_program_with_plan(
         trace_len: sup.trace().len(),
         trace_fingerprint: trace_fp.finish().0,
         incident_fingerprint: incident_fp.finish().0,
-        incident_counts,
         incidents: incidents.len(),
         incident_log,
         unrecovered: sup.interpreter().crashed_components().len(),
         failure,
-        elapsed: t0.elapsed(),
     }
 }
 
@@ -301,187 +277,4 @@ fn inject_one(
         Ok(()) => *injected += 1,
         Err(e) => *failure = Some(e.to_string()),
     }
-}
-
-/// Soaks all Figure-6 kernels, fanning the kernels out over `cfg.jobs`
-/// worker threads. Results come back in kernel order regardless of
-/// scheduling, and each kernel's outcome is independent of the worker
-/// that ran it.
-pub fn run_soak(cfg: &SoakConfig) -> Vec<SoakOutcome> {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::OnceLock;
-
-    let jobs = if cfg.jobs == 0 {
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-    } else {
-        cfg.jobs
-    };
-    let benches = all_benchmarks();
-    let slots: Vec<OnceLock<SoakOutcome>> = (0..benches.len()).map(|_| OnceLock::new()).collect();
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..jobs.min(benches.len()).max(1) {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(bench) = benches.get(i) else {
-                    break;
-                };
-                let _ = slots[i].set(soak_kernel(bench, cfg, i));
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|s| s.into_inner().expect("every soak slot filled"))
-        .collect()
-}
-
-/// A with/without-monitor throughput comparison over the whole suite.
-#[derive(Debug, Clone)]
-pub struct SoakBench {
-    /// The configuration used (with `monitor` as in the monitored run).
-    pub config: SoakConfig,
-    /// Monitored outcomes, kernel order.
-    pub monitored: Vec<SoakOutcome>,
-    /// Unmonitored outcomes, kernel order.
-    pub unmonitored: Vec<SoakOutcome>,
-    /// Total wall-clock of the monitored run, milliseconds.
-    pub monitored_ms: f64,
-    /// Total wall-clock of the unmonitored run, milliseconds.
-    pub unmonitored_ms: f64,
-}
-
-impl SoakBench {
-    /// Suite steps/second with the monitor on.
-    pub fn monitored_throughput(&self) -> f64 {
-        throughput(&self.monitored, self.monitored_ms)
-    }
-
-    /// Suite steps/second with the monitor off.
-    pub fn unmonitored_throughput(&self) -> f64 {
-        throughput(&self.unmonitored, self.unmonitored_ms)
-    }
-}
-
-fn throughput(outcomes: &[SoakOutcome], ms: f64) -> f64 {
-    let steps: usize = outcomes.iter().map(|o| o.steps).sum();
-    if ms > 0.0 {
-        steps as f64 / (ms / 1e3)
-    } else {
-        0.0
-    }
-}
-
-/// Runs the soak suite twice — monitor on, monitor off — with identical
-/// seeds and fault schedules, for the `BENCH_soak.json` record.
-pub fn run_soak_bench(cfg: &SoakConfig) -> SoakBench {
-    let monitored_cfg = SoakConfig {
-        monitor: true,
-        ..*cfg
-    };
-    let unmonitored_cfg = SoakConfig {
-        monitor: false,
-        ..*cfg
-    };
-    let t0 = Instant::now();
-    let monitored = run_soak(&monitored_cfg);
-    let monitored_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let t1 = Instant::now();
-    let unmonitored = run_soak(&unmonitored_cfg);
-    let unmonitored_ms = t1.elapsed().as_secs_f64() * 1e3;
-    SoakBench {
-        config: monitored_cfg,
-        monitored,
-        unmonitored,
-        monitored_ms,
-        unmonitored_ms,
-    }
-}
-
-/// Renders a [`SoakBench`] as the `BENCH_soak.json` document.
-pub fn render_soak_json(bench: &SoakBench) -> String {
-    fn outcomes_json(outcomes: &[SoakOutcome], total_ms: f64, steps_per_sec: f64) -> String {
-        let rows: Vec<String> = outcomes
-            .iter()
-            .map(|o| {
-                format!(
-                    "      {{\"kernel\": \"{}\", \"steps\": {}, \"injected\": {}, \
-                     \"trace_len\": {}, \"incidents\": {}, \"unrecovered\": {}, \
-                     \"trace_fingerprint\": \"{:016x}\", \"incident_fingerprint\": \"{:016x}\", \
-                     \"failure\": {}}}",
-                    o.kernel,
-                    o.steps,
-                    o.injected,
-                    o.trace_len,
-                    o.incidents,
-                    o.unrecovered,
-                    o.trace_fingerprint,
-                    o.incident_fingerprint,
-                    match &o.failure {
-                        Some(f) => format!("\"{}\"", f.replace('"', "'")),
-                        None => "null".to_owned(),
-                    }
-                )
-            })
-            .collect();
-        format!(
-            "{{\n    \"total_ms\": {:.3},\n    \"steps_per_sec\": {:.1},\n    \
-             \"kernels\": [\n{}\n    ]\n  }}",
-            total_ms,
-            steps_per_sec,
-            rows.join(",\n")
-        )
-    }
-    format!(
-        "{{\n  \"suite\": \"soak\",\n  \"steps_per_kernel\": {},\n  \"seed\": {},\n  \
-         \"fault_rate\": {},\n  \"world_fault_rate\": {},\n  \"with_monitor\": {},\n  \
-         \"without_monitor\": {},\n  \"monitor_overhead\": {:.3}\n}}\n",
-        bench.config.steps,
-        bench.config.seed,
-        bench.config.fault_rate,
-        bench.config.world_fault_rate,
-        outcomes_json(
-            &bench.monitored,
-            bench.monitored_ms,
-            bench.monitored_throughput()
-        ),
-        outcomes_json(
-            &bench.unmonitored,
-            bench.unmonitored_ms,
-            bench.unmonitored_throughput()
-        ),
-        if bench.unmonitored_ms > 0.0 {
-            bench.monitored_ms / bench.unmonitored_ms
-        } else {
-            0.0
-        }
-    )
-}
-
-/// Renders soak outcomes as a text table.
-pub fn render_soak(outcomes: &[SoakOutcome]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{:<10} {:>8} {:>9} {:>10} {:>10} {:>12} {:>8}  {}\n",
-        "kernel", "steps", "injected", "trace", "incidents", "unrecovered", "ms", "status"
-    ));
-    for o in outcomes {
-        out.push_str(&format!(
-            "{:<10} {:>8} {:>9} {:>10} {:>10} {:>12} {:>8.0}  {}\n",
-            o.kernel,
-            o.steps,
-            o.injected,
-            o.trace_len,
-            o.incidents,
-            o.unrecovered,
-            o.elapsed.as_secs_f64() * 1e3,
-            match &o.failure {
-                Some(f) => f.as_str(),
-                None => "ok",
-            }
-        ));
-    }
-    out
 }

@@ -4,9 +4,8 @@
 //! every step's certificates must be byte-identical to a storeless run of
 //! the same source. No timing is gated.
 
-use reflex_bench::incr::edit_script;
+use reflex_bench::incr::{edit_script, session_sources};
 use reflex_driver::{NullSink, SessionConfig, SessionReport, VerifySession};
-use reflex_kernels::kernels::{browser, ssh};
 use reflex_verify::{certificate_to_bytes, ProverOptions};
 
 /// Per step, in script order: `(reused, partial, reproved, loaded)`.
@@ -82,13 +81,11 @@ fn every_step_of_the_edit_script_lands_on_its_pinned_rung() {
     let stored = session(Some(dir.to_string_lossy().into_owned()));
     let storeless = session(None);
 
-    let mut sources = [
-        ("ssh", ssh::SOURCE.to_owned()),
-        ("browser", browser::SOURCE.to_owned()),
-    ];
+    let sources = session_sources();
+    let (base, edited) = sources.split_at(2);
     // Prime the store with both base kernels: the cold first run every
     // watch session pays once.
-    for (name, source) in &sources {
+    for (name, source) in base {
         let report = verify(&stored, name, source);
         assert_eq!(
             report.reproved.len(),
@@ -99,18 +96,7 @@ fn every_step_of_the_edit_script_lands_on_its_pinned_rung() {
 
     let script = edit_script();
     assert_eq!(script.len(), LADDER.len());
-    for (step, &expected) in script.iter().zip(&LADDER) {
-        let (_, source) = sources
-            .iter_mut()
-            .find(|(name, _)| *name == step.kernel)
-            .expect("scripted kernel");
-        assert!(
-            source.contains(step.find),
-            "edit '{}' does not apply",
-            step.label
-        );
-        *source = source.replacen(step.find, step.replace, 1);
-
+    for ((step, (_, source)), &expected) in script.iter().zip(edited).zip(&LADDER) {
         let warm = verify(&stored, step.kernel, source);
         let got = (
             warm.reused.len(),
@@ -149,11 +135,9 @@ fn the_daemon_path_lands_on_the_same_rungs_and_reads_the_store_no_more() {
             .unwrap_or_else(|e| panic!("{name}: {e}"))
     };
 
-    let mut sources = [
-        ("ssh", ssh::SOURCE.to_owned()),
-        ("browser", browser::SOURCE.to_owned()),
-    ];
-    for (name, source) in &sources {
+    let sources = session_sources();
+    let (base, edited) = sources.split_at(2);
+    for (name, source) in base {
         let report = serve(name, source);
         assert_eq!(
             report.reproved.len(),
@@ -164,13 +148,9 @@ fn the_daemon_path_lands_on_the_same_rungs_and_reads_the_store_no_more() {
 
     let script = edit_script();
     assert_eq!(script.len(), LADDER.len());
-    for (step, &(reused, partial, reproved, loaded)) in script.iter().zip(&LADDER) {
-        let (_, source) = sources
-            .iter_mut()
-            .find(|(name, _)| *name == step.kernel)
-            .expect("scripted kernel");
-        *source = source.replacen(step.find, step.replace, 1);
-
+    for ((step, (_, source)), &(reused, partial, reproved, loaded)) in
+        script.iter().zip(edited).zip(&LADDER)
+    {
         let warm = serve(step.kernel, source);
         assert_eq!(warm.failures(), 0, "{}", warm.render_properties());
         assert_eq!(

@@ -1,9 +1,9 @@
-//! Integration tests for the supervised-runtime soak harness:
+//! Integration tests for the supervised-runtime soak engine:
 //! determinism of fault injection and recovery, transparency of the
 //! runtime monitor, and the monitor's ability to catch a real
 //! (deliberately introduced) supervision-visible kernel bug.
 
-use reflex_bench::soak::{run_soak, soak_kernel, SoakConfig};
+use reflex_bench::soak::{soak_program, SoakConfig};
 use reflex_kernels::all_benchmarks;
 use reflex_runtime::{
     EmptyWorld, FaultPlan, MonitorError, Registry, SupStep, Supervisor, SupervisorConfig,
@@ -11,10 +11,15 @@ use reflex_runtime::{
 };
 use reflex_trace::Msg;
 
+/// Soaks every bundled kernel under `cfg` (each at its position in the
+/// kernel list, as the simulator's soak scenario does) and returns each
+/// kernel's trace and incident-log fingerprints.
 fn fingerprints(cfg: &SoakConfig) -> Vec<(String, u64, u64)> {
-    run_soak(cfg)
-        .into_iter()
-        .map(|o| {
+    all_benchmarks()
+        .iter()
+        .enumerate()
+        .map(|(index, bench)| {
+            let o = soak_program(bench.name, &(bench.checked)(), cfg, index);
             assert!(o.failure.is_none(), "{}: {:?}", o.kernel, o.failure);
             assert_eq!(o.unrecovered, 0, "{}: components left crashed", o.kernel);
             (o.kernel, o.trace_fingerprint, o.incident_fingerprint)
@@ -23,24 +28,21 @@ fn fingerprints(cfg: &SoakConfig) -> Vec<(String, u64, u64)> {
 }
 
 #[test]
-fn soak_is_deterministic_across_runs_and_job_counts() {
+fn soak_is_deterministic_across_runs() {
     let base = SoakConfig {
         steps: 250,
         seed: 11,
         ..SoakConfig::default()
     };
-    let serial = fingerprints(&SoakConfig { jobs: 1, ..base });
-    let parallel = fingerprints(&SoakConfig { jobs: 4, ..base });
-    let again = fingerprints(&SoakConfig { jobs: 2, ..base });
-    assert_eq!(serial, parallel, "jobs must not affect outcomes");
-    assert_eq!(serial, again, "repeat runs must be byte-identical");
+    let first = fingerprints(&base);
+    assert_eq!(
+        first,
+        fingerprints(&base),
+        "repeat runs must be byte-identical"
+    );
     // And a different seed must actually change the executions.
-    let reseeded = fingerprints(&SoakConfig {
-        seed: 12,
-        jobs: 1,
-        ..base
-    });
-    assert_ne!(serial, reseeded, "the seed must matter");
+    let reseeded = fingerprints(&SoakConfig { seed: 12, ..base });
+    assert_ne!(first, reseeded, "the seed must matter");
 }
 
 #[test]
@@ -51,7 +53,6 @@ fn monitor_is_transparent_to_the_execution() {
         steps: 250,
         seed: 5,
         monitor: true,
-        jobs: 2,
         ..SoakConfig::default()
     };
     let unmonitored = SoakConfig {
@@ -72,10 +73,9 @@ fn every_kernel_survives_a_hostile_fault_schedule() {
         fault_rate: 0.3,
         world_fault_rate: 0.2,
         monitor: true,
-        jobs: 0,
     };
     for (i, bench) in all_benchmarks().iter().enumerate() {
-        let o = soak_kernel(bench, &cfg, i);
+        let o = soak_program(bench.name, &(bench.checked)(), &cfg, i);
         assert!(o.failure.is_none(), "{}: {:?}", o.kernel, o.failure);
         assert_eq!(o.unrecovered, 0, "{}: components left crashed", o.kernel);
         assert!(

@@ -22,14 +22,15 @@
 //! reproduces it, and [`repro`] serializes that minimized configuration
 //! as a `repro.json` that `rx sim replay FILE` re-executes bit-for-bit.
 //! [`swarm::run_swarm`] fans a seed range across scenarios (this is the
-//! CI entry point behind `rx sim swarm`), and [`presets`] re-exposes the
-//! pre-simulator `rx chaos` / `rx soak` suites as thin presets.
+//! CI entry point behind `rx sim swarm`). The simulator is the one
+//! robustness engine: its `chaos` scenario replays the recorded edit
+//! session under store faults, and its `soak` scenario drives every
+//! bundled kernel through the supervised runtime.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod net;
-pub mod presets;
 pub mod repro;
 pub mod scenario;
 pub mod shrink;
@@ -40,16 +41,19 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// Which whole-stack scenario a simulation run drives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Scenario {
-    /// The chaos replay: a synthetic-kernel edit script through a watch
-    /// session over a seeded faulty store, with seeded prover panics,
-    /// then external bit rot, a scrub, and a post-scrub re-verification.
+    /// The chaos replay: the recorded 20-edit session, then a
+    /// synthetic-kernel edit script, through a watch session over a
+    /// seeded faulty store, with seeded prover panics; then external bit
+    /// rot, a scrub, and a post-scrub re-verification of every kernel.
     Chaos,
     /// The watch loop under a flapping disk: one kernel re-verified
     /// every step while a seeded gate heals and unheals the store's
     /// filesystem, ending with a forced heal and re-attach.
     Watch,
     /// The supervised runtime soak: seeded workload and fault plans
-    /// driven through crash/recovery with the certificate monitor on.
+    /// driven through crash/recovery with the certificate monitor on,
+    /// over every bundled kernel plus a synthetic one (`steps` exchanges
+    /// each).
     Soak,
     /// The scale workload: a synthetic kernel's edit ladder verified
     /// step by step, store-backed reuse against a serial baseline.
@@ -125,7 +129,9 @@ impl Scenario {
     /// fault paths while keeping one run comfortably under a second.
     pub fn default_steps(&self) -> usize {
         match self {
-            Scenario::Chaos => 5,
+            // The recorded session (2 base kernels + 20 edits), then five
+            // synthetic variants.
+            Scenario::Chaos => 22 + 5,
             Scenario::Watch => 8,
             Scenario::Soak => 120,
             Scenario::ScaleEdits => 4,

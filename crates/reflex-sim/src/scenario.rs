@@ -165,24 +165,37 @@ fn check_outcomes(
 }
 
 /// The synthetic-kernel edit ladder for this run: the `small` preset at
-/// the `kernel` stream's seed, variants `0..steps`.
-fn synth_ladder(config: &SimConfig) -> Vec<reflex_kernels::synth::SynthKernel> {
+/// the `kernel` stream's seed, variants `0..count`.
+fn synth_ladder(config: &SimConfig, count: usize) -> Vec<reflex_kernels::synth::SynthKernel> {
     let gen = reflex_kernels::synth::SynthConfig::preset("small", config.stream_seed("kernel"))
         .expect("the small preset exists");
-    (0..u32::try_from(config.steps).unwrap_or(u32::MAX))
+    (0..u32::try_from(count).unwrap_or(u32::MAX))
         .map(|v| reflex_kernels::synth::generate_variant(&gen, v))
         .collect()
 }
 
-/// Chaos: replay a synthetic edit ladder through a watch session over a
-/// seeded faulty store with seeded prover panics; then heal the disk,
-/// inflict external bit rot, scrub, and re-verify against the baseline.
-pub(crate) fn run_chaos(config: &SimConfig, trace: &mut Trace) -> Option<Violation> {
-    let ladder = synth_ladder(config);
-    let checked: Vec<_> = ladder
-        .iter()
-        .map(|k| (k.name.clone(), k.checked()))
+/// The chaos ladder, cut to `config.steps` programs: the recorded
+/// 20-edit session (both base kernels, then every edit), then the
+/// synthetic ladder. Only the recorded edits reach the reuse ladder's
+/// per-case splice rung; the generated variants keep kernels no one
+/// wrote by hand under the same faults.
+fn chaos_ladder(config: &SimConfig) -> Vec<(String, reflex_typeck::CheckedProgram)> {
+    let mut ladder: Vec<_> = reflex_bench::incr::session_programs()
+        .into_iter()
+        .take(config.steps)
+        .map(|(kernel, program)| (kernel.to_owned(), program))
         .collect();
+    let synthetic = synth_ladder(config, config.steps - ladder.len());
+    ladder.extend(synthetic.iter().map(|k| (k.name.clone(), k.checked())));
+    ladder
+}
+
+/// Chaos: replay the recorded edit session and a synthetic edit ladder
+/// through a watch session over a seeded faulty store with seeded prover
+/// panics; then heal the disk, inflict external bit rot, scrub, and
+/// re-verify every kernel's final program against the baseline.
+pub(crate) fn run_chaos(config: &SimConfig, trace: &mut Trace) -> Option<Violation> {
+    let checked = chaos_ladder(config);
 
     // Clean serial baseline over a healthy store: the ground truth.
     let base_dir = scratch_dir(config, "base");
@@ -289,11 +302,14 @@ fn run_chaos_faulted(
         let t = tally(&it.report);
         let injected = faulty.injected();
         trace.push(format!(
-            "step {step} chaos kernel={name} proved={} crashed={} degraded={} faults={}",
+            "step {step} chaos kernel={name} proved={} crashed={} degraded={} faults={} reused={} partial={} reproved={}",
             t.proved,
             t.crashed,
             it.degraded,
-            injected - faults_seen
+            injected - faults_seen,
+            it.report.reused.len(),
+            it.report.partial.len(),
+            it.report.reproved.len()
         ));
         faults_seen = injected;
         trace.step_done();
@@ -348,42 +364,65 @@ fn run_chaos_faulted(
         });
     }
 
-    // Post-scrub: the final kernel re-verified over the scrubbed store
-    // must still match the baseline exactly (reuse or re-prove alike).
-    let (final_name, final_program) = checked.last().expect("at least one step");
-    let expected = baseline.last().expect("baseline matches ladder");
-    match VerifySession::new(session_config(config, Some(dir)))
-        .and_then(|s| s.verify_checked(final_program, &NullSink))
-    {
-        Ok(report) => {
-            let t = tally(&report);
-            trace.push(format!(
-                "chaos post-scrub kernel={final_name} proved={}",
-                t.proved
-            ));
-            check_against_baseline(
-                config.steps,
-                &report,
-                expected,
-                ViolationKind::QuarantineEscape,
-            )
+    // Post-scrub: every kernel's final program re-verified over the
+    // scrubbed store must still match the baseline exactly (reuse or
+    // re-prove alike).
+    let session = match VerifySession::new(session_config(config, Some(dir))) {
+        Ok(session) => session,
+        Err(e) => {
+            return Some(Violation {
+                step: config.steps,
+                kind: ViolationKind::Abort,
+                detail: format!("post-scrub session failed to open: {e}"),
+            })
         }
-        Err(e) => Some(Violation {
-            step: config.steps,
-            kind: ViolationKind::Abort,
-            detail: format!("post-scrub verification aborted: {e}"),
-        }),
+    };
+    let mut kernels: Vec<&str> = Vec::new();
+    for (name, _) in checked {
+        if !kernels.contains(&name.as_str()) {
+            kernels.push(name);
+        }
     }
+    for kernel in kernels {
+        let last = checked
+            .iter()
+            .rposition(|(name, _)| name == kernel)
+            .expect("a listed kernel is in the ladder");
+        let report = match session.verify_checked(&checked[last].1, &NullSink) {
+            Ok(report) => report,
+            Err(e) => {
+                return Some(Violation {
+                    step: config.steps,
+                    kind: ViolationKind::Abort,
+                    detail: format!("post-scrub verification of {kernel} aborted: {e}"),
+                })
+            }
+        };
+        trace.push(format!(
+            "chaos post-scrub kernel={kernel} proved={}",
+            tally(&report).proved
+        ));
+        if let Some(v) = check_against_baseline(
+            config.steps,
+            &report,
+            &baseline[last],
+            ViolationKind::QuarantineEscape,
+        ) {
+            return Some(v);
+        }
+    }
+    None
 }
 
 /// Flips a payload byte in the first frame of the alphabetically first
-/// segment log and drops a stale temp file — damage the store's own
-/// fsync-gated writer can never produce. The flip lands at offset 50,
-/// past the 44-byte frame header and inside the first payload, so the
-/// frame's integrity fingerprint provably breaks and the scrub must
-/// quarantine the segment tail. Returns how many segments were rotted.
+/// segment log long enough to hold one (a faulted append can leave an
+/// empty or torn segment behind) and drops a stale temp file — damage
+/// the store's own fsync-gated writer can never produce. The flip lands
+/// at offset 50, past the 44-byte frame header and inside the first
+/// payload, so the frame's integrity fingerprint provably breaks and the
+/// scrub must quarantine the segment tail. Returns how many segments
+/// were rotted.
 fn rot_first_cert(dir: &std::path::Path) -> usize {
-    let mut rotted = 0usize;
     let mut segments: Vec<std::path::PathBuf> = Vec::new();
     if let Ok(rd) = std::fs::read_dir(dir) {
         for shard in rd.filter_map(|e| e.ok().map(|e| e.path())) {
@@ -403,18 +442,15 @@ fn rot_first_cert(dir: &std::path::Path) -> usize {
         }
     }
     segments.sort();
-    if let Some(path) = segments.first() {
-        if let Ok(mut bytes) = std::fs::read(path) {
-            if bytes.len() > 50 {
-                bytes[50] ^= 0x40;
-                if std::fs::write(path, &bytes).is_ok() {
-                    rotted += 1;
-                }
-            }
-        }
-    }
     let _ = std::fs::write(dir.join(".tmp-0-sim-debris.cert"), b"crash debris");
-    rotted
+    let Some((path, mut bytes)) = segments.iter().find_map(|path| {
+        let bytes = std::fs::read(path).ok()?;
+        (bytes.len() > 50).then_some((path, bytes))
+    }) else {
+        return 0;
+    };
+    bytes[50] ^= 0x40;
+    usize::from(std::fs::write(path, &bytes).is_ok())
 }
 
 /// Watch: one fixed kernel re-verified every step while a seeded gate
@@ -542,8 +578,9 @@ pub(crate) fn run_watch(config: &SimConfig, trace: &mut Trace) -> Option<Violati
 }
 
 /// Soak: the supervised runtime under seeded workload and fault plans,
-/// certificate monitor on; every component must recover and the monitor
-/// must stay silent.
+/// certificate monitor on, over every bundled kernel and then the
+/// synthetic one; every component must recover and the monitor must stay
+/// silent.
 pub(crate) fn run_soak(config: &SimConfig, trace: &mut Trace) -> Option<Violation> {
     if let Some(k) = config.inject_violation_at {
         if k < config.steps {
@@ -557,13 +594,13 @@ pub(crate) fn run_soak(config: &SimConfig, trace: &mut Trace) -> Option<Violatio
         fault_rate: if world_on { 0.01 } else { 0.0 },
         world_fault_rate: if world_on { 0.02 } else { 0.0 },
         monitor: true,
-        jobs: 1,
     };
-    let synth = synth_kernel(config);
-    let kernels: Vec<(String, reflex_typeck::CheckedProgram)> = vec![
-        ("car".to_owned(), reflex_kernels::car::checked()),
-        (synth.name.clone(), synth.checked()),
-    ];
+    let synth = synth_ladder(config, 1).remove(0);
+    let kernels: Vec<(String, reflex_typeck::CheckedProgram)> = reflex_kernels::all_benchmarks()
+        .iter()
+        .map(|b| (b.name.to_owned(), (b.checked)()))
+        .chain([(synth.name.clone(), synth.checked())])
+        .collect();
     for (index, (name, program)) in kernels.iter().enumerate() {
         let outcome = reflex_bench::soak::soak_program(name, program, &soak_cfg, index);
         trace.push(format!(
@@ -597,18 +634,10 @@ pub(crate) fn run_soak(config: &SimConfig, trace: &mut Trace) -> Option<Violatio
     None
 }
 
-/// The soak scenario's synthetic kernel (the `kernel` stream's base
-/// variant of the `small` preset).
-fn synth_kernel(config: &SimConfig) -> reflex_kernels::synth::SynthKernel {
-    let gen = reflex_kernels::synth::SynthConfig::preset("small", config.stream_seed("kernel"))
-        .expect("the small preset exists");
-    reflex_kernels::synth::generate_variant(&gen, 0)
-}
-
 /// Scale-edits: the synthetic edit ladder verified variant by variant,
 /// store-backed incremental reuse against a storeless serial baseline.
 pub(crate) fn run_scale_edits(config: &SimConfig, trace: &mut Trace) -> Option<Violation> {
-    let ladder = synth_ladder(config);
+    let ladder = synth_ladder(config, config.steps);
     let dir = scratch_dir(config, "store");
     let _ = std::fs::remove_dir_all(&dir);
     let mut violation = None;
@@ -673,7 +702,7 @@ pub(crate) fn run_scale_edits(config: &SimConfig, trace: &mut Trace) -> Option<V
 /// chaos scenario: heal, rot one landed segment externally, scrub
 /// through the *live* handle, and re-verify.
 pub(crate) fn run_compaction_race(config: &SimConfig, trace: &mut Trace) -> Option<Violation> {
-    let ladder = synth_ladder(config);
+    let ladder = synth_ladder(config, config.steps);
     let checked: Vec<_> = ladder
         .iter()
         .map(|k| (k.name.clone(), k.checked()))
@@ -919,7 +948,7 @@ pub(crate) fn run_client_storm(config: &SimConfig, trace: &mut Trace) -> Option<
     const CLIENTS: usize = 3;
     const BURST: usize = 3;
 
-    let ladder = synth_ladder(config);
+    let ladder = synth_ladder(config, config.steps);
     // Storeless serial baseline per variant: the ground truth.
     let mut baseline: Vec<Vec<(String, Certificate)>> = Vec::with_capacity(ladder.len());
     for (step, kernel) in ladder.iter().enumerate() {
@@ -1083,7 +1112,7 @@ pub(crate) fn run_client_storm(config: &SimConfig, trace: &mut Trace) -> Option<
 /// byte-identical to the storeless baseline, and a closing scrub must
 /// quarantine nothing.
 pub(crate) fn run_daemon_restart(config: &SimConfig, trace: &mut Trace) -> Option<Violation> {
-    let ladder = synth_ladder(config);
+    let ladder = synth_ladder(config, config.steps);
     // Storeless serial baseline per variant: the ground truth on both
     // sides of the crash.
     let mut baseline: Vec<Vec<(String, Certificate)>> = Vec::with_capacity(ladder.len());

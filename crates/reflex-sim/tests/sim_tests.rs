@@ -128,6 +128,40 @@ fn injected_violation_shrinks_and_replays() {
     let _ = std::fs::remove_file(&path);
 }
 
+/// The chaos scenario rots a landed segment on every seed, so the scrub
+/// always has damage to quarantine and the quarantine-escape check is
+/// never vacuous; and the recorded session's browser edits reach the
+/// reuse ladder's per-case splice rung under the faults. (A seeded panic
+/// can crash the one property the splice would patch, as on seeds 11 and
+/// 38; none of these seeds does.)
+#[test]
+fn chaos_rot_is_quarantined_and_the_splice_rung_fires_on_every_seed() {
+    for seed in 0..8 {
+        let outcome = Sim::run(&SimConfig::new(Scenario::Chaos, seed));
+        let trace = outcome.trace_text();
+        assert_eq!(outcome.violation, None, "seed {seed}:\n{trace}");
+        let scrub = outcome
+            .trace
+            .iter()
+            .find(|line| line.starts_with("chaos scrub "))
+            .unwrap_or_else(|| panic!("seed {seed}: no scrub record\n{trace}"));
+        assert!(scrub.contains(" corrupted=1 "), "seed {seed}: {scrub}");
+        let quarantined: usize = scrub
+            .split(" quarantined=")
+            .nth(1)
+            .and_then(|rest| rest.split(' ').next())
+            .and_then(|n| n.parse().ok())
+            .unwrap_or_else(|| panic!("seed {seed}: {scrub}"));
+        assert!(quarantined >= 1, "seed {seed}: {scrub}");
+        assert!(
+            outcome.trace.iter().any(
+                |line| line.contains(" chaos kernel=browser ") && !line.contains(" partial=0 ")
+            ),
+            "seed {seed}: no per-case splice\n{trace}"
+        );
+    }
+}
+
 /// Disabling a fault stream changes the run (the trace head records
 /// it) but a clean scenario stays clean.
 #[test]

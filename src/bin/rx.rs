@@ -8,8 +8,6 @@
 //! rx explain FILE PROP        print the discovered proof's structure
 //! rx show    FILE             pretty-print the kernel and its statistics
 //! rx run     FILE [N [SEED]]  boot the kernel and run up to N exchanges
-//! rx soak                     soak the bundled kernels under fault injection
-//! rx chaos                    replay the watch loop under injected store faults
 //! rx sim     run              drive one deterministic whole-stack scenario
 //! rx sim     swarm            fan a seed range across every scenario (CI)
 //! rx sim     replay FILE      re-execute a repro.json bit for bit
@@ -37,16 +35,15 @@
 //!
 //! `rx run` accepts `--faults SPEC --supervise --monitor` to run the
 //! kernel under the supervised runtime with deterministic fault
-//! injection; `rx soak` drives every bundled Figure-6 kernel that way.
-//! `rx chaos` replays the scripted incremental session with the proof
-//! store on a seeded faulty filesystem and checks the robustness
-//! invariants (no aborts, no wrong reuse, no quarantine escapes);
-//! `rx store scrub` audits a store directory in place. Both `rx chaos`
-//! and `rx soak` are presets over the deterministic simulator's engine
-//! surface (`reflex::sim::presets`); `rx sim` is the simulator's own
-//! front door — one root seed drives every fault stream through a
-//! virtual clock, every run leaves a replayable trace, and violations
-//! are auto-shrunk into `repro.json` files `rx sim replay` re-executes.
+//! injection. `rx store scrub` audits a store directory in place. `rx sim`
+//! drives the deterministic simulator, the one robustness engine: its
+//! `soak` scenario runs every bundled kernel the way `rx run --faults`
+//! runs one, and its `chaos` scenario replays the recorded edit session
+//! with the proof store on a seeded faulty filesystem, checking the
+//! robustness invariants (no aborts, no wrong reuse, no quarantine
+//! escapes). One root seed drives every fault stream through a virtual
+//! clock, every run leaves a replayable trace, and violations are
+//! auto-shrunk into `repro.json` files `rx sim replay` re-executes.
 //!
 //! Exit codes: 0 success, 1 the kernel/properties have problems,
 //! 2 usage errors.
@@ -54,7 +51,7 @@
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use reflex::bench::soak::soak_program_with_plan;
+use reflex::bench::soak::{soak_program_with_plan, SoakConfig};
 use reflex::cli::{self, FlagSpec};
 use reflex::driver::{
     json_string, load_program, Instrument, JsonLinesSink, NullSink, SessionConfig, SessionError,
@@ -65,15 +62,12 @@ use reflex::service::{
     Client, ClientError, Endpoint, Reply, Request, RetryPolicy, RetryingClient, ServiceConfig,
     ServiceCore, ServiceError, StatsSnapshot,
 };
-use reflex::sim::presets::{
-    render_soak, render_soak_json, run_soak_bench_preset, run_soak_preset, SoakConfig, SoakOutcome,
-};
 use reflex::typeck::CheckedProgram;
 use reflex::verify::{falsify, FalsifyOptions, ProverOptions};
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  rx check   FILE\n  rx verify  FILE [PROP] [--jobs N] [--stats] [--json] [--store DIR]\n             [--trace-json PATH] [--budget-ms MS] [--budget-nodes N]\n  rx watch   FILE [--jobs N] [--store DIR] [--strict-store] [--interval MS]\n             [--iterations N] [--budget-ms MS] [--budget-nodes N]\n  rx falsify FILE PROP\n  rx explain FILE PROP\n  rx show    FILE\n  rx run     FILE [STEPS [SEED]] [--faults SPEC] [--supervise] [--monitor]\n  rx soak    [--steps N] [--seed N] [--jobs N] [--kernel NAME] [--fault-rate X]\n             [--no-monitor] [--json] [--incident-dir DIR]\n  rx chaos   [--seeds A..B] [--rate PPM] [--jobs N] [--gen SEED]\n  rx sim     run [--scenario NAME] [--seed N] [--steps K] [--inject-at K]\n  rx sim     swarm [--seeds A..B] [--scenario NAME] [--steps K] [--jobs N]\n             [--json] [--repro-dir DIR]\n  rx sim     replay FILE\n  rx store   scrub|compact DIR [FILE] [--json]\n  rx store   migrate|stat DIR [--json]\n  rx gen     [PRESET] [--seed N] [--variant V] [--out PATH] [--check]\n  rx bench   store [--entries N] [--lookups N] [--seed N] [--json]\n  rx client  ping|stats|shutdown|check FILE|verify FILE [PROP]\n             (--socket PATH | --tcp ADDR) [--json] [--stats]\n             [--budget-ms MS] [--budget-nodes N] [--deadline-ms MS]\n             [--trace-json PATH] [--retries N] [--retry-base-ms MS]\n             [--retry-seed N]\n\nrun `rx SUBCOMMAND --help` is not supported; each subcommand reports its\nown flags on a usage error."
+        "usage:\n  rx check   FILE\n  rx verify  FILE [PROP] [--jobs N] [--stats] [--json] [--store DIR]\n             [--trace-json PATH] [--budget-ms MS] [--budget-nodes N]\n  rx watch   FILE [--jobs N] [--store DIR] [--strict-store] [--interval MS]\n             [--iterations N] [--budget-ms MS] [--budget-nodes N]\n  rx falsify FILE PROP\n  rx explain FILE PROP\n  rx show    FILE\n  rx run     FILE [STEPS [SEED]] [--faults SPEC] [--supervise] [--monitor]\n  rx sim     run [--scenario NAME] [--seed N] [--steps K] [--inject-at K]\n  rx sim     swarm [--seeds A..B] [--scenario NAME] [--steps K] [--jobs N]\n             [--json] [--repro-dir DIR]\n  rx sim     replay FILE\n  rx store   scrub|compact DIR [FILE] [--json]\n  rx store   migrate|stat DIR [--json]\n  rx gen     [PRESET] [--seed N] [--variant V] [--out PATH] [--check]\n  rx bench   store [--entries N] [--lookups N] [--seed N] [--json]\n  rx client  ping|stats|shutdown|check FILE|verify FILE [PROP]\n             (--socket PATH | --tcp ADDR) [--json] [--stats]\n             [--budget-ms MS] [--budget-nodes N] [--deadline-ms MS]\n             [--trace-json PATH] [--retries N] [--retry-base-ms MS]\n             [--retry-seed N]\n\nrun `rx SUBCOMMAND --help` is not supported; each subcommand reports its\nown flags on a usage error."
     );
     ExitCode::from(2)
 }
@@ -234,72 +228,6 @@ const RUN_FLAGS: &[FlagSpec] = &[
         name: "--monitor",
         value: None,
         help: "re-check certificates online (implies --supervise)",
-    },
-];
-
-const SOAK_FLAGS: &[FlagSpec] = &[
-    FlagSpec {
-        name: "--steps",
-        value: Some("N"),
-        help: "exchanges per kernel",
-    },
-    FlagSpec {
-        name: "--seed",
-        value: Some("N"),
-        help: "deterministic seed",
-    },
-    FlagSpec {
-        name: "--jobs",
-        value: Some("N"),
-        help: "soak kernels on N worker threads",
-    },
-    FlagSpec {
-        name: "--fault-rate",
-        value: Some("X"),
-        help: "per-exchange fault probability (default 0.01)",
-    },
-    FlagSpec {
-        name: "--no-monitor",
-        value: None,
-        help: "skip online certificate re-checking",
-    },
-    FlagSpec {
-        name: "--kernel",
-        value: Some("NAME"),
-        help: "soak only the named bundled kernel",
-    },
-    FlagSpec {
-        name: "--json",
-        value: None,
-        help: "measure monitored vs unmonitored and write BENCH_soak.json",
-    },
-    FlagSpec {
-        name: "--incident-dir",
-        value: Some("DIR"),
-        help: "write per-kernel incident logs into DIR",
-    },
-];
-
-const CHAOS_FLAGS: &[FlagSpec] = &[
-    FlagSpec {
-        name: "--seeds",
-        value: Some("A..B"),
-        help: "fault-schedule seed range to replay (default 0..8)",
-    },
-    FlagSpec {
-        name: "--rate",
-        value: Some("PPM"),
-        help: "per-operation fault rate, parts per million (default 50000)",
-    },
-    FlagSpec {
-        name: "--jobs",
-        value: Some("N"),
-        help: "N proof threads in total (0: one per CPU)",
-    },
-    FlagSpec {
-        name: "--gen",
-        value: Some("SEED"),
-        help: "replay a generated kernel (small preset, seed SEED) instead of fig6",
     },
 ];
 
@@ -509,18 +437,6 @@ const COMMANDS: &[CommandSpec] = &[
         synopsis: "FILE [STEPS [SEED]]",
         flags: RUN_FLAGS,
         run: cmd_run,
-    },
-    CommandSpec {
-        name: "soak",
-        synopsis: "",
-        flags: SOAK_FLAGS,
-        run: cmd_soak,
-    },
-    CommandSpec {
-        name: "chaos",
-        synopsis: "",
-        flags: CHAOS_FLAGS,
-        run: cmd_chaos,
     },
     CommandSpec {
         name: "sim",
@@ -971,43 +887,6 @@ fn cmd_run_supervised(opts: &RunOpts, checked: &CheckedProgram) -> Result<(), Cl
         return Err(CliError::Run(format!(
             "{} component(s) still crashed after cooldown",
             outcome.unrecovered
-        )));
-    }
-    Ok(())
-}
-
-/// `rx chaos [--seeds A..B] [--rate PPM] [--jobs N]`: replay the scripted
-/// incremental session under seeded store faults, write `BENCH_chaos.json`
-/// and fail unless every robustness invariant held.
-fn cmd_chaos(parsed: &cli::Parsed) -> Result<(), CliError> {
-    use reflex::sim::presets::{render_chaos, render_chaos_json, run_chaos_preset, ChaosConfig};
-    if !parsed.positional.is_empty() {
-        return Err(CliError::Usage(format!(
-            "unexpected operand `{}`",
-            parsed.positional[0]
-        )));
-    }
-    let mut cfg = ChaosConfig::default();
-    if let Some(spec) = parsed.value("--seeds") {
-        cfg.seeds = parse_seed_range(spec).map_err(CliError::Usage)?;
-    }
-    cfg.rate_ppm = parsed
-        .get("--rate", cfg.rate_ppm)
-        .map_err(CliError::Usage)?;
-    cfg.jobs = parsed.get("--jobs", cfg.jobs).map_err(CliError::Usage)?;
-    cfg.gen_seed = parsed.get_opt("--gen").map_err(CliError::Usage)?;
-    let bench = run_chaos_preset(&cfg).map_err(CliError::run)?;
-    print!("{}", render_chaos(&bench));
-    std::fs::write("BENCH_chaos.json", render_chaos_json(&bench))
-        .map_err(|e| CliError::Run(format!("BENCH_chaos.json: {e}")))?;
-    println!("wrote BENCH_chaos.json");
-    if bench.violations() > 0 {
-        return Err(CliError::Run(format!(
-            "{} robustness invariant violation(s): {} abort(s), {} certificate mismatch(es), {} quarantine escape(s)",
-            bench.violations(),
-            bench.total_aborts(),
-            bench.total_cert_mismatches(),
-            bench.total_quarantine_escapes()
         )));
     }
     Ok(())
@@ -1485,89 +1364,6 @@ fn cmd_store(parsed: &cli::Parsed) -> Result<(), CliError> {
             "{} entr(y/ies) quarantined under {dir}/{} (see report.json there)",
             report.quarantined.len(),
             reflex::verify::QUARANTINE_DIR
-        )))
-    }
-}
-
-fn cmd_soak(parsed: &cli::Parsed) -> Result<(), CliError> {
-    if !parsed.positional.is_empty() {
-        return Err(CliError::Usage(format!(
-            "unexpected operand `{}`",
-            parsed.positional[0]
-        )));
-    }
-    let mut cfg = SoakConfig::default();
-    cfg.steps = parsed.get("--steps", cfg.steps).map_err(CliError::Usage)?;
-    cfg.seed = parsed.get("--seed", cfg.seed).map_err(CliError::Usage)?;
-    cfg.jobs = parsed.get("--jobs", cfg.jobs).map_err(CliError::Usage)?;
-    cfg.fault_rate = parsed
-        .get("--fault-rate", cfg.fault_rate)
-        .map_err(CliError::Usage)?;
-    cfg.monitor = !parsed.is_set("--no-monitor");
-    let kernel = parsed.value("--kernel");
-    let json = parsed.is_set("--json");
-    let incident_dir = parsed.value("--incident-dir");
-
-    let outcomes: Vec<SoakOutcome> = if let Some(name) = kernel {
-        let benches = reflex::kernels::all_benchmarks();
-        let (index, bench) = benches
-            .iter()
-            .enumerate()
-            .find(|(_, b)| b.name == name)
-            .ok_or_else(|| CliError::Run(format!("no bundled kernel named `{name}`")))?;
-        vec![reflex::bench::soak::soak_kernel(bench, &cfg, index)]
-    } else if json {
-        let bench = run_soak_bench_preset(&cfg);
-        let doc = render_soak_json(&bench);
-        std::fs::write("BENCH_soak.json", &doc)
-            .map_err(|e| CliError::Run(format!("BENCH_soak.json: {e}")))?;
-        println!(
-            "with monitor {:.1} steps/s, without {:.1} steps/s (overhead {:.2}x) -> wrote BENCH_soak.json",
-            bench.monitored_throughput(),
-            bench.unmonitored_throughput(),
-            if bench.unmonitored_ms > 0.0 {
-                bench.monitored_ms / bench.unmonitored_ms
-            } else {
-                0.0
-            }
-        );
-        bench.monitored
-    } else {
-        run_soak_preset(&cfg)
-    };
-    print!("{}", render_soak(&outcomes));
-    if let Some(dir) = incident_dir {
-        std::fs::create_dir_all(dir).map_err(|e| CliError::Run(format!("{dir}: {e}")))?;
-        for o in &outcomes {
-            let path = format!("{dir}/{}.log", o.kernel);
-            std::fs::write(&path, &o.incident_log)
-                .map_err(|e| CliError::Run(format!("{path}: {e}")))?;
-        }
-        println!("incident logs written to {dir}/");
-    }
-    let bad: Vec<&SoakOutcome> = outcomes
-        .iter()
-        .filter(|o| o.failure.is_some() || o.unrecovered > 0)
-        .collect();
-    if bad.is_empty() {
-        println!(
-            "soak ok: {} kernel(s), {} exchange(s) total, all faults recovered{}",
-            outcomes.len(),
-            outcomes.iter().map(|o| o.steps).sum::<usize>(),
-            if cfg.monitor {
-                ", no certificate violations"
-            } else {
-                " (monitor off)"
-            }
-        );
-        Ok(())
-    } else {
-        Err(CliError::Run(format!(
-            "soak failed for {}",
-            bad.iter()
-                .map(|o| o.kernel.as_str())
-                .collect::<Vec<_>>()
-                .join(", ")
         )))
     }
 }

@@ -20,15 +20,16 @@
 //!   a `BehAbs` trace-inclusion oracle.
 //! * [`kernels`] — the paper's benchmark kernels (car, ssh, ssh2,
 //!   browser 1–3, webserver) and their 41 properties.
-//! * [`bench`] — the evaluation harness (Figure 6, Table 1, ablation) and
-//!   the supervised-runtime soak suite.
+//! * [`bench`] — the evaluation harness (Figure 6, Table 1, ablation),
+//!   the recorded edit session, and the supervised-runtime soak engine
+//!   that `rx run --faults` and the simulator's soak scenario share.
 //! * [`driver`] — the instrumented [`driver::VerifySession`] pipeline
 //!   engine every entry point (CLI, watch loop, benches) runs on.
 //! * [`rng`] — the one splittable deterministic RNG and the labelled
 //!   seed-derivation tree every stochastic component draws from.
 //! * [`sim`] — the deterministic whole-stack simulator behind
-//!   `rx sim run / swarm / replay`: one root seed, virtual time,
-//!   scenario traces, automatic shrinking.
+//!   `rx sim run / swarm / replay`, the one chaos and soak engine: one
+//!   root seed, virtual time, scenario traces, automatic shrinking.
 //! * [`service`] — the resident service core behind `rxd` and
 //!   `rx client`: one long-lived shared `Env`, a framed wire protocol
 //!   with streamed events, and the thin client SDK.
