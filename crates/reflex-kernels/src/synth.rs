@@ -120,9 +120,11 @@ pub fn generate(config: &SynthConfig) -> SynthKernel {
 /// Generates the kernel for `config` with `variant` appended edits.
 ///
 /// Variant 0 is the base kernel. Each successive variant appends one
-/// deterministic, well-formed edit (an extra unconditional forward
-/// handler plus its `Ensures` property) — the chaos harness uses this as
-/// a realistic watch-session edit script over generated kernels.
+/// deterministic, well-formed edit (two message types, an extra
+/// unconditional forward handler and its `Ensures` property, listed after
+/// the base properties) — the chaos harness uses this as a realistic
+/// watch-session edit script over generated kernels. Variant `v` has the
+/// base kernel's properties, in the same order, plus `v` more.
 pub fn generate_variant(config: &SynthConfig, variant: u32) -> SynthKernel {
     let n = config.components.max(2);
     let m = config.handlers.max(1);
@@ -191,7 +193,16 @@ pub fn generate_variant(config: &SynthConfig, variant: u32) -> SynthKernel {
         ));
     }
 
-    // Appended variant edits (chaos watch-session script).
+    // Deterministically shuffle the candidate pool, then take K. The
+    // shuffle spreads property kinds across the prefix so small K still
+    // exercises every template.
+    let keep = config.properties.min(props.len());
+    shuffle(&mut props, &mut rng);
+    props.truncate(keep);
+
+    // Appended variant edits (chaos watch-session script), after the
+    // base pool is drawn: every variant keeps the base properties in
+    // their order and adds its own at the end.
     for v in 0..variant {
         writeln!(messages, "  EditIn{v}();").unwrap();
         writeln!(messages, "  EditOut{v}();").unwrap();
@@ -202,13 +213,6 @@ pub fn generate_variant(config: &SynthConfig, variant: u32) -> SynthKernel {
             "  EditEnsures{v}:\n    [Recv(C0(), EditIn{v}())] Ensures [Send(C1(), EditOut{v}())];"
         ));
     }
-
-    // Deterministically shuffle the candidate pool, then take K. The
-    // shuffle spreads property kinds across the prefix so small K still
-    // exercises every template.
-    let keep = config.properties.min(props.len());
-    shuffle(&mut props, &mut rng);
-    props.truncate(keep);
 
     let mut src = String::new();
     src.push_str("components {\n");
@@ -414,8 +418,25 @@ mod tests {
         let base = generate(&cfg);
         let edited = generate_variant(&cfg, 2);
         assert_ne!(base.source, edited.source);
-        assert_eq!(edited.properties, base.properties.min(cfg.properties));
-        edited.checked();
+        assert_eq!(edited.properties, base.properties + 2);
+        let names = |k: &SynthKernel| -> Vec<String> {
+            k.checked()
+                .program()
+                .properties
+                .iter()
+                .map(|p| p.name.clone())
+                .collect()
+        };
+        let (base_names, edited_names) = (names(&base), names(&edited));
+        assert_eq!(
+            edited_names[..base.properties],
+            base_names[..],
+            "the base properties keep their order"
+        );
+        assert_eq!(
+            edited_names[base.properties..],
+            ["EditEnsures0", "EditEnsures1"]
+        );
     }
 
     #[test]

@@ -414,33 +414,21 @@ fn run_chaos_faulted(
     None
 }
 
-/// Flips a payload byte in the first frame of the alphabetically first
-/// segment log long enough to hold one (a faulted append can leave an
-/// empty or torn segment behind) and drops a stale temp file — damage
-/// the store's own fsync-gated writer can never produce. The flip lands
-/// at offset 50, past the 44-byte frame header and inside the first
-/// payload, so the frame's integrity fingerprint provably breaks and the
-/// scrub must quarantine the segment tail. Returns how many segments
-/// were rotted.
+/// Flips a payload byte in the first frame of the first log segment
+/// long enough to hold one (a faulted append can leave an empty or torn
+/// segment behind) and drops a stale temp file — damage the store's own
+/// fsync-gated writer can never produce. The flip lands at offset 50,
+/// past the 44-byte frame header and inside the first payload, so the
+/// frame's integrity fingerprint provably breaks and the scrub must
+/// quarantine the segment tail. Returns how many segments were rotted.
 fn rot_first_cert(dir: &std::path::Path) -> usize {
-    let mut segments: Vec<std::path::PathBuf> = Vec::new();
-    if let Ok(rd) = std::fs::read_dir(dir) {
-        for shard in rd.filter_map(|e| e.ok().map(|e| e.path())) {
-            let is_shard = shard
-                .file_name()
-                .and_then(|n| n.to_str())
-                .is_some_and(|n| n.starts_with("shard-"));
-            if !(is_shard && shard.is_dir()) {
-                continue;
-            }
-            if let Ok(rd) = std::fs::read_dir(&shard) {
-                segments.extend(
-                    rd.filter_map(|e| e.ok().map(|e| e.path()))
-                        .filter(|p| p.extension().is_some_and(|x| x == "log")),
-                );
-            }
-        }
-    }
+    let mut segments: Vec<std::path::PathBuf> = std::fs::read_dir(dir.join("log"))
+        .map(|rd| {
+            rd.filter_map(|e| e.ok().map(|e| e.path()))
+                .filter(|p| p.extension().is_some_and(|x| x == "log"))
+                .collect()
+        })
+        .unwrap_or_default();
     segments.sort();
     let _ = std::fs::write(dir.join(".tmp-0-sim-debris.cert"), b"crash debris");
     let Some((path, mut bytes)) = segments.iter().find_map(|path| {

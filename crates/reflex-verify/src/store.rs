@@ -1,23 +1,28 @@
 //! The persistent, content-addressed proof store (`.rx-store/`).
 //!
-//! Since PR 8 the store is **log-structured**: certificates append to
-//! length-framed segment logs sharded 16 ways by a fingerprint of their
-//! key, an in-memory index is rebuilt on open by scanning segment frames,
-//! and writes are made durable by group-commit batched fsync
-//! ([`ProofStore::flush`]). A bounded LRU hot tier serves repeat lookups
-//! without re-reading or re-decoding — warm `rx watch` sessions hit it on
-//! every iteration. The layout under the store root:
+//! The store is **one append log**: certificates and head records are
+//! length-framed records appended to the active segment of a single log,
+//! an in-memory index is rebuilt on open by scanning every segment's
+//! frames, and a persist makes everything it appended durable with one
+//! fsync (the commit in [`ProofStore::save_head`], which ends every
+//! [`persist_outcomes`] run). A bounded LRU hot tier serves repeat
+//! lookups without re-reading or re-decoding — warm `rx watch` sessions
+//! hit it on every iteration. The layout under the store root:
 //!
 //! ```text
-//! MANIFEST                    framed list of live segments per shard
-//! shard-00/seg-00000000.log   length-framed certificate frames
+//! log/seg-00000000.log        certificate and head frames, in append order
 //! …
-//! shard-0f/seg-0000001c.log
-//! head-{name fp}-{opts}.head  one head record per (program, options)
-//! {prog}-{prop}-{opts}.cert   legacy flat entries (read-only, migrated
-//!                             by `rx store migrate` / compaction)
+//! log/seg-00000007.log        the segment accepting appends
 //! quarantine/                 corrupt frames + sequenced scrub reports
+//! {prog}-{prop}-{opts}.cert   legacy flat entries
+//! shard-XX/seg-NNNNNNNN.log   sharded-layout segments (16 shards)
+//! head-{name fp}-{opts}.head  sharded-layout head files
+//! MANIFEST                    sharded-layout segment list (unread)
 //! ```
+//!
+//! The last four belong to older layouts. Nothing writes them any more:
+//! they are served in place as fallback tiers behind the log, and
+//! compaction (`rx store compact`, `rx store migrate`) folds them into it.
 //!
 //! An entry is keyed by content —
 //! `(program fp, property fp, options fp)` — where the program
@@ -31,29 +36,38 @@
 //! write identical bytes, so duplicate frames are harmless and
 //! first-frame-wins on open.
 //!
-//! A small **head** file per (program name, options fingerprint) records
+//! A **head** record per (program name, options fingerprint) records
 //! which program fingerprint the last run proved and under which property
 //! fingerprints, so the next run can find the *previous* version's
 //! certificates for cross-edit planning (full or per-case reuse via
 //! [`crate::DepGraph`]) even though their keys contain old fingerprints.
+//! Head records are frames of their own kind in the same log, and the
+//! last head frame for a key wins. The open-time scan keeps every head
+//! decoded in memory, so reading one, and deciding that an unchanged one
+//! needs no rewrite, touches no file.
 //!
 //! # Durability
 //!
-//! Appends are batched: [`ProofStore::save`] registers the entry in the
-//! index immediately but the segment is only fsynced at the next group
-//! commit ([`ProofStore::flush`], called once per
-//! [`persist_outcomes`] run). If that fsync fails, the unsynced suffix is
-//! untrustworthy: the store rolls the batch back — drops the entries from
-//! the index, truncates the segment to its last durable length, seals it
-//! — and reports the loss through [`ProofStore::dropped_entries`]. A
-//! segment is rolled at a size cap; the roll rewrites `MANIFEST` (write
-//! to temporary, fsync, rename — the PR 5 discipline) *before* the first
-//! append, so a crash can leave at worst a manifest entry for a missing
-//! or empty segment, never a data-bearing segment the manifest does not
-//! know about. Compaction ([`ProofStore::compact`]) folds the scrub /
-//! quarantine pass in: it rewrites live entries into fresh segments,
-//! drops superseded frames, quarantines corrupt ones, migrates legacy
-//! flat entries and atomically swaps the manifest.
+//! Appends are not synced one by one: [`ProofStore::save`] registers the
+//! entry in the index at once, and the next commit fsyncs the active
+//! segment once for everything appended since the last one. A commit is
+//! [`ProofStore::flush`], or [`ProofStore::save_head`], which returns
+//! only after the commit that covers its head frame. If that fsync, or
+//! an append, fails, the unsynced suffix is untrustworthy: the store
+//! rolls the batch back — drops its certificates from the index and its
+//! head records from the head table, truncates the segment to its last
+//! durable length, seals it — and reports the lost certificates through
+//! [`ProofStore::dropped_entries`]. A head rolled back is a miss, never a
+//! wrong head. A segment is rolled at a size cap; there is no manifest:
+//! the open-time scan lists `log/` and applies frames in (segment,
+//! offset) order, and a torn tail (a crash mid-append) ends its
+//! segment's scan. Compaction ([`ProofStore::compact`]) folds the scrub /
+//! quarantine pass in: it rewrites the live certificates and the newest
+//! head per key into fresh segments (temporary file, fsync, rename), then
+//! removes what they replace. A crash in between leaves duplicates that
+//! are harmless: certificates are first-frame-wins and content-addressed,
+//! and fresh segments sort after the ones they replace, so their heads
+//! win.
 //!
 //! # Trust
 //!
@@ -80,7 +94,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use reflex_ast::fingerprint::{Fp, FpHasher};
+use reflex_ast::fingerprint::{fp_str, Fp, FpHasher};
 use reflex_typeck::CheckedProgram;
 
 use crate::certificate::Certificate;
@@ -94,34 +108,65 @@ use crate::Abstraction;
 /// written by any other version read as misses.
 pub const STORE_VERSION: u32 = 1;
 
-/// Flat-file frame magic (head records, legacy `.cert` entries, MANIFEST).
+/// Flat-file frame magic (legacy `.cert` entries, `.head` files, probes).
 const MAGIC: &[u8; 4] = b"RXPS";
-/// Per-entry frame magic inside segment logs.
-const SEGMENT_MAGIC: &[u8; 4] = b"RXSG";
-/// Segment frame header: magic (4) + version (4) + key (3×8) + payload
+/// Log frame magic of a certificate.
+const CERT_MAGIC: &[u8; 4] = b"RXSG";
+/// Log frame magic of a head record.
+const HEAD_MAGIC: &[u8; 4] = b"RXHD";
+/// Log frame header: magic (4) + version (4) + key (3×8) + payload
 /// length (4) + payload fingerprint (8).
 const FRAME_HEADER: usize = 44;
-/// Fingerprint-prefix shards.
-const SHARD_COUNT: usize = 16;
+/// The log's directory under the store root.
+const LOG_DIR: &str = "log";
+/// The sharded layout's segment list; compaction removes it.
+const SHARDED_MANIFEST: &str = "MANIFEST";
 /// Segments roll once they exceed this many bytes.
 const SEGMENT_CAP_BYTES: u64 = 4 * 1024 * 1024;
-/// Group commit early when a shard accumulates this many unsynced bytes.
-const GROUP_COMMIT_BYTES: u64 = 256 * 1024;
 /// Hot-tier capacity, in certificates.
 const LRU_CAPACITY: usize = 256;
-/// The manifest file name under the store root.
-const MANIFEST_FILE: &str = "MANIFEST";
 
 /// A store key: (program fp, property fp, options fp).
 type Key = (Fp, Fp, Fp);
 
+/// A head key: (program name fp, options fp).
+type HeadKey = (Fp, Fp);
+
+/// A segment file. The derived order is the scan order: the log's
+/// segments by sequence number, then the sharded layout's.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum SegId {
+    /// `log/seg-{seq}.log`.
+    Log(u64),
+    /// `shard-{shard}/seg-{seq}.log`, of the sharded layout.
+    Shard(u8, u64),
+}
+
+impl SegId {
+    fn path(self, root: &Path) -> PathBuf {
+        match self {
+            SegId::Log(seq) => root.join(LOG_DIR).join(segment_file_name(seq)),
+            SegId::Shard(shard, seq) => root
+                .join(format!("shard-{shard:02x}"))
+                .join(segment_file_name(seq)),
+        }
+    }
+
+    /// The quarantine file-name prefix of this segment's frames.
+    fn label(self) -> String {
+        match self {
+            SegId::Log(seq) => format!("log-seg-{seq:08}"),
+            SegId::Shard(shard, seq) => format!("shard-{shard:02x}-seg-{seq:08}"),
+        }
+    }
+}
+
 /// Where an indexed entry lives.
 #[derive(Debug, Clone, Copy)]
 enum Loc {
-    /// A frame inside a segment log; `offset`/`len` bound the payload.
+    /// A frame inside a segment; `offset`/`len` bound the payload.
     Seg {
-        shard: u8,
-        seq: u64,
+        seg: SegId,
         offset: u64,
         len: u32,
         payload_fp: u64,
@@ -130,45 +175,33 @@ enum Loc {
     Flat,
 }
 
-/// Per-shard append state.
-#[derive(Debug, Clone, Default)]
-struct ShardState {
-    /// The segment currently accepting appends, if any.
-    active: Option<u64>,
-    /// Logical file length after every successful append.
-    written: u64,
-    /// Length covered by the last successful fsync.
-    durable: u64,
-    /// Whether `written > durable` (an fsync is owed).
-    dirty: bool,
-    /// Keys appended since the last successful fsync, in order.
-    pending: Vec<Key>,
-}
-
-/// The live segment list, per shard, plus the next segment sequence
-/// number. Rewritten atomically on every roll and compaction.
+/// Where a head record lives.
 #[derive(Debug, Clone)]
-struct Manifest {
-    segments: Vec<Vec<u64>>,
-    next_seq: u64,
-}
-
-impl Manifest {
-    fn empty() -> Manifest {
-        Manifest {
-            segments: vec![Vec::new(); SHARD_COUNT],
-            next_seq: 0,
-        }
-    }
+enum Head {
+    /// The last head frame for its key in the log, decoded.
+    Log(StoreHead),
+    /// A sharded-layout `head-….head` file, read on lookup.
+    File,
 }
 
 /// Everything the log engine mutates, under one lock: the key index, the
-/// per-shard append states and the manifest.
+/// head table and the append state of the active segment.
 #[derive(Debug)]
 struct LogState {
     index: HashMap<Key, Loc>,
-    shards: Vec<ShardState>,
-    manifest: Manifest,
+    heads: HashMap<HeadKey, Head>,
+    /// The log segment accepting appends, if any.
+    active: Option<u64>,
+    /// The sequence number of the next segment.
+    next_seq: u64,
+    /// The active segment's length after every successful append.
+    written: u64,
+    /// Length covered by the last successful fsync.
+    durable: u64,
+    /// Certificates appended since the last successful fsync, in order.
+    pending: Vec<Key>,
+    /// Head records appended since the last successful fsync.
+    pending_heads: Vec<HeadKey>,
     /// Wall-clock cost of the open-time index build, milliseconds.
     build_ms: f64,
     /// Segments that could not be read at open (their entries are misses).
@@ -225,7 +258,7 @@ struct StoreInner {
     /// Unexpected I/O failures observed (not plain not-found misses) —
     /// the watch loop's degradation signal.
     io_errors: AtomicU64,
-    /// Entries rolled back because their group commit failed: they were
+    /// Entries rolled back because their commit failed: they were
     /// reported saved, then dropped when the fsync said otherwise.
     dropped: AtomicU64,
     log: Mutex<LogState>,
@@ -234,15 +267,15 @@ struct StoreInner {
 
 impl Drop for StoreInner {
     fn drop(&mut self) {
-        // Last handle out syncs whatever the final group commit missed.
-        let _ = self.flush_all();
+        // Last handle out syncs whatever the final commit missed.
+        let _ = self.commit(&mut self.log_lock());
     }
 }
 
 /// A handle to an on-disk proof store directory.
 ///
-/// Cheap to clone: clones share the index, segment states, hot tier and
-/// I/O error counter.
+/// Cheap to clone: clones share the index, head table, append state, hot
+/// tier and I/O error counter.
 #[derive(Debug, Clone)]
 pub struct ProofStore {
     inner: Arc<StoreInner>,
@@ -260,16 +293,12 @@ pub struct StoreHead {
 }
 
 /// Adds the offending path and action to an I/O error so multi-layer
-/// failures (which shard? which segment?) stay diagnosable.
+/// failures (which segment? which file?) stay diagnosable.
 fn err_at(e: io::Error, action: &str, path: &Path) -> io::Error {
     io::Error::new(
         e.kind(),
         format!("proof store: {action} {}: {e}", path.display()),
     )
-}
-
-fn shard_dir_name(shard: usize) -> String {
-    format!("shard-{shard:02x}")
 }
 
 fn segment_file_name(seq: u64) -> String {
@@ -283,14 +312,8 @@ fn parse_segment_name(name: &str) -> Option<u64> {
         .ok()
 }
 
-/// Which shard a key's frames live in: a fingerprint of the full key,
-/// folded to `SHARD_COUNT`.
-fn shard_of(key: Key) -> usize {
-    let mut h = FpHasher::new();
-    h.write(&key.0 .0.to_le_bytes());
-    h.write(&key.1 .0.to_le_bytes());
-    h.write(&key.2 .0.to_le_bytes());
-    (h.finish().0 as usize) % SHARD_COUNT
+fn file_name(path: &Path) -> Option<&str> {
+    path.file_name().and_then(|n| n.to_str())
 }
 
 fn fnv(bytes: &[u8]) -> u64 {
@@ -299,11 +322,11 @@ fn fnv(bytes: &[u8]) -> u64 {
     h.finish().0
 }
 
-/// Builds one segment frame; returns the frame and the payload fingerprint.
-fn build_frame(key: Key, payload: &[u8]) -> (Vec<u8>, u64) {
+/// Builds one log frame; returns the frame and the payload fingerprint.
+fn build_frame(magic: &[u8; 4], key: Key, payload: &[u8]) -> (Vec<u8>, u64) {
     let pfp = fnv(payload);
     let mut f = Vec::with_capacity(FRAME_HEADER + payload.len());
-    f.extend_from_slice(SEGMENT_MAGIC);
+    f.extend_from_slice(magic);
     f.extend_from_slice(&STORE_VERSION.to_le_bytes());
     f.extend_from_slice(&key.0 .0.to_le_bytes());
     f.extend_from_slice(&key.1 .0.to_le_bytes());
@@ -318,8 +341,15 @@ fn build_frame(key: Key, payload: &[u8]) -> (Vec<u8>, u64) {
     (f, pfp)
 }
 
-/// One parsed-and-verified segment frame.
+/// The key a head frame is filed under: the head key, then a zero word.
+fn head_frame_key((name, options): HeadKey) -> Key {
+    (name, options, Fp(0))
+}
+
+/// One parsed-and-verified log frame.
 struct Frame {
+    /// A head record (`true`) or a certificate.
+    head: bool,
     key: Key,
     payload_start: usize,
     payload_len: usize,
@@ -331,9 +361,11 @@ struct Frame {
 /// past an unparseable frame is trusted.
 fn parse_frame(bytes: &[u8], pos: usize) -> Option<Frame> {
     let hdr = bytes.get(pos..pos.checked_add(FRAME_HEADER)?)?;
-    if &hdr[0..4] != SEGMENT_MAGIC {
-        return None;
-    }
+    let head = match &hdr[0..4] {
+        m if m == CERT_MAGIC => false,
+        m if m == HEAD_MAGIC => true,
+        _ => return None,
+    };
     if u32::from_le_bytes(hdr[4..8].try_into().ok()?) != STORE_VERSION {
         return None;
     }
@@ -347,11 +379,20 @@ fn parse_frame(bytes: &[u8], pos: usize) -> Option<Frame> {
         return None;
     }
     Some(Frame {
+        head,
         key,
         payload_start,
         payload_len,
         payload_fp,
     })
+}
+
+/// Parses a 16-digit hex fingerprint.
+fn parse_fp(s: &str) -> Option<Fp> {
+    (s.len() == 16)
+        .then(|| u64::from_str_radix(s, 16).ok())
+        .flatten()
+        .map(Fp)
 }
 
 /// Parses a legacy flat entry file name back into its key.
@@ -362,51 +403,83 @@ fn parse_entry_name(name: &str) -> Option<Key> {
     if parts.next().is_some() {
         return None;
     }
-    let fp = |s: &str| {
-        (s.len() == 16)
-            .then(|| u64::from_str_radix(s, 16).ok())
-            .flatten()
-            .map(Fp)
-    };
-    Some((fp(a)?, fp(b)?, fp(c)?))
+    Some((parse_fp(a)?, parse_fp(b)?, parse_fp(c)?))
 }
 
-fn enc_manifest(m: &Manifest) -> Vec<u8> {
+/// Parses a sharded-layout head file name back into its head key.
+fn parse_head_name(name: &str) -> Option<HeadKey> {
+    let (a, b) = name
+        .strip_prefix("head-")?
+        .strip_suffix(".head")?
+        .split_once('-')?;
+    Some((parse_fp(a)?, parse_fp(b)?))
+}
+
+/// The head key of (`program_name`, `options`). Heads are looked up
+/// before any fingerprint of the current source is known, so they key on
+/// the (hashed) program *name*.
+fn head_key(program_name: &str, options: Fp) -> HeadKey {
+    (fp_str(program_name), options)
+}
+
+/// Every segment on disk, in scan order: `log/`, then the sharded
+/// layout's `shard-XX/` directories. Directories that cannot be listed
+/// are counted in `io_errors` and skipped.
+///
+/// # Errors
+///
+/// Only if the store root itself cannot be listed.
+fn list_segments(fs: &dyn VerifyFs, root: &Path, io_errors: &AtomicU64) -> io::Result<Vec<SegId>> {
+    let mut segments = Vec::new();
+    for dir in fs
+        .read_dir(root)
+        .map_err(|e| err_at(e, "list store root", root))?
+    {
+        let Some(name) = file_name(&dir) else {
+            continue;
+        };
+        let shard = match name.strip_prefix("shard-") {
+            _ if name == LOG_DIR => None,
+            Some(hex) if hex.len() == 2 => match u8::from_str_radix(hex, 16) {
+                Ok(shard) => Some(shard),
+                Err(_) => continue,
+            },
+            _ => continue,
+        };
+        let Ok(listing) = fs.read_dir(&dir) else {
+            io_errors.fetch_add(1, Ordering::SeqCst);
+            continue;
+        };
+        segments.extend(
+            listing
+                .iter()
+                .filter_map(|p| parse_segment_name(file_name(p)?))
+                .map(|seq| match shard {
+                    None => SegId::Log(seq),
+                    Some(shard) => SegId::Shard(shard, seq),
+                }),
+        );
+    }
+    segments.sort();
+    Ok(segments)
+}
+
+fn enc_head(head: &StoreHead) -> Vec<u8> {
     let mut e = Enc::new();
-    e.u32(SHARD_COUNT as u32);
-    e.u64(m.next_seq);
-    for segs in &m.segments {
-        e.len(segs.len());
-        for s in segs {
-            e.u64(*s);
-        }
+    e.fp(head.program);
+    e.len(head.properties.len());
+    for (name, fp) in &head.properties {
+        e.str(name);
+        e.fp(*fp);
     }
     e.buf
 }
 
-fn dec_manifest(payload: &[u8]) -> Option<Manifest> {
-    let mut d = Dec::new(payload);
-    if d.u32()? as usize != SHARD_COUNT {
-        return None;
-    }
-    let next_seq = d.u64()?;
-    let mut segments = Vec::with_capacity(SHARD_COUNT);
-    for _ in 0..SHARD_COUNT {
-        let n = d.len()?;
-        let mut v = Vec::with_capacity(n);
-        for _ in 0..n {
-            v.push(d.u64()?);
-        }
-        segments.push(v);
-    }
-    d.finish()?;
-    Some(Manifest { segments, next_seq })
-}
-
 impl ProofStore {
     /// Opens (creating if needed) the store rooted at `dir`, on the real
-    /// filesystem, and builds the in-memory index by scanning segment
-    /// frames (plus any legacy flat entries).
+    /// filesystem, and builds the in-memory index and head table by
+    /// scanning segment frames (plus any legacy flat entries and head
+    /// files).
     ///
     /// # Errors
     ///
@@ -450,17 +523,17 @@ impl ProofStore {
     }
 
     /// Unexpected I/O failures observed by this handle (and its clones)
-    /// since opening. Plain not-found reads of *unindexed* keys are
-    /// misses, not errors; the watch loop compares snapshots of this
-    /// counter to decide when the store has become unreliable.
+    /// since opening. Misses are not errors; the watch loop compares
+    /// snapshots of this counter to decide when the store has become
+    /// unreliable.
     pub fn io_errors(&self) -> u64 {
         self.inner.io_errors.load(Ordering::SeqCst)
     }
 
-    /// Entries whose group commit failed after [`ProofStore::save`] had
-    /// already reported them saved: the fsync rollback dropped them from
-    /// the index, so they are misses now. [`persist_outcomes`] subtracts
-    /// the delta from its saved count.
+    /// Entries whose commit failed after [`ProofStore::save`] had already
+    /// reported them saved: the rollback dropped them from the index, so
+    /// they are misses now. [`persist_outcomes`] subtracts the delta from
+    /// its saved count.
     pub fn dropped_entries(&self) -> u64 {
         self.inner.dropped.load(Ordering::SeqCst)
     }
@@ -500,36 +573,29 @@ impl ProofStore {
             .join(format!("{program}-{property}-{options}.cert"))
     }
 
-    fn head_path(&self, program_name: &str, options: Fp) -> PathBuf {
-        // Head files are looked up before any fingerprint of the current
-        // source is known, so they key on the (hashed) program *name*.
-        let name = reflex_ast::fingerprint::fp_str(program_name);
-        self.inner.root.join(format!("head-{name}-{options}.head"))
-    }
-
     /// Loads the certificate stored under the given key, or `None` if
     /// absent, unreadable, truncated, corrupt or written by a different
     /// format version (all of these are cache misses, not errors).
     ///
     /// Hot entries are served from the LRU tier without touching disk,
     /// as shared handles — a warm hit costs neither deserialization nor
-    /// a deep clone. Cold segment hits re-verify the payload fingerprint
-    /// before decoding, so bit rot after open is still a miss.
+    /// a deep clone. A key the index lacks is a miss that touches no
+    /// file. Cold segment hits re-verify the payload fingerprint before
+    /// decoding, so bit rot after open is still a miss.
     pub fn load(&self, program: Fp, property: Fp, options: Fp) -> Option<Arc<Certificate>> {
         let key = (program, property, options);
         if let Some(cert) = self.inner.lru_lock().get(&key) {
             return Some(cert);
         }
-        let loc = self.inner.log_lock().index.get(&key).copied();
+        let loc = self.inner.log_lock().index.get(&key).copied()?;
         let cert = match loc {
-            Some(Loc::Seg {
-                shard,
-                seq,
+            Loc::Seg {
+                seg,
                 offset,
                 len,
                 payload_fp,
-            }) => {
-                let path = self.inner.segment_path(shard as usize, seq);
+            } => {
+                let path = seg.path(&self.inner.root);
                 let payload = match self.inner.fs.read_at(&path, offset, len as usize) {
                     Ok(p) => p,
                     Err(_) => {
@@ -545,9 +611,7 @@ impl ProofStore {
                 }
                 decode_cert_payload(&payload)?
             }
-            // Legacy flat entries, and keys another process may have
-            // written flat since we opened, read through the framed path.
-            Some(Loc::Flat) | None => {
+            Loc::Flat => {
                 let payload = self
                     .inner
                     .read_framed(&self.entry_path(program, property, options))?;
@@ -559,20 +623,21 @@ impl ProofStore {
         Some(cert)
     }
 
-    /// Stores `cert` under the given key by appending a frame to its
-    /// shard's active segment (rolling to a fresh segment at the size
-    /// cap). An existing entry is left alone: keys are content-addressed,
-    /// so it already holds the same bytes.
+    /// Stores `cert` under the given key by appending a frame to the
+    /// log's active segment (rolling to a fresh segment at the size cap).
+    /// An existing entry is left alone: keys are content-addressed, so it
+    /// already holds the same bytes.
     ///
     /// The append is *not* fsynced here — durability comes from the next
-    /// group commit ([`ProofStore::flush`]); a failed commit rolls the
-    /// batch back and counts it in [`ProofStore::dropped_entries`].
+    /// commit ([`ProofStore::flush`] or [`ProofStore::save_head`]); a
+    /// failed commit rolls the batch back and counts it in
+    /// [`ProofStore::dropped_entries`].
     ///
     /// # Errors
     ///
-    /// Propagates append/roll I/O failures (with the segment or manifest
-    /// path in the message); callers persisting opportunistically may
-    /// ignore them (a failed write is a future miss).
+    /// Propagates append I/O failures (with the segment path in the
+    /// message); callers persisting opportunistically may ignore them (a
+    /// failed write is a future miss).
     pub fn save(
         &self,
         program: Fp,
@@ -586,27 +651,35 @@ impl ProofStore {
         }
         let mut e = Enc::new();
         enc_certificate(&mut e, cert);
-        let (frame, payload_fp) = build_frame(key, &e.buf);
-        let payload_len = u32::try_from(e.buf.len()).expect("payload fits u32");
+        let (frame, payload_fp) = build_frame(CERT_MAGIC, key, &e.buf);
         let mut log = self.inner.log_lock();
         if log.index.contains_key(&key) {
             return Ok(()); // raced with another clone
         }
-        self.inner
-            .append_entry(&mut log, key, frame, payload_len, payload_fp)
+        let (seg, frame_start) = self.inner.append_frame(&mut log, &frame)?;
+        log.index.insert(
+            key,
+            Loc::Seg {
+                seg,
+                offset: frame_start + FRAME_HEADER as u64,
+                len: u32::try_from(e.buf.len()).expect("payload fits u32"),
+                payload_fp,
+            },
+        );
+        log.pending.push(key);
+        Ok(())
     }
 
-    /// Fsyncs every shard's unsynced appends — the group commit. On a
-    /// failed shard the unsynced batch is rolled back (dropped from the
-    /// index, truncated away, segment sealed) and counted in
-    /// [`ProofStore::dropped_entries`].
+    /// Commits every unsynced append with one fsync of the active
+    /// segment. On failure the unsynced batch is rolled back (dropped
+    /// from the index and head table, truncated away, segment sealed) and
+    /// its certificates are counted in [`ProofStore::dropped_entries`].
     ///
     /// # Errors
     ///
-    /// The first fsync failure, with the segment path in the message;
-    /// every shard is attempted regardless.
+    /// The fsync failure, with the segment path in the message.
     pub fn flush(&self) -> io::Result<()> {
-        self.inner.flush_all()
+        self.inner.commit(&mut self.inner.log_lock())
     }
 
     /// Every key the index currently serves (segment and flat entries),
@@ -620,40 +693,43 @@ impl ProofStore {
     }
 
     /// Loads the head record for (`program_name`, `options`), with the same
-    /// miss semantics as [`ProofStore::load`].
+    /// miss semantics as [`ProofStore::load`]. A head from the log is
+    /// served from memory; only a sharded-layout head file is read.
     pub fn load_head(&self, program_name: &str, options: Fp) -> Option<StoreHead> {
-        let payload = self
-            .inner
-            .read_framed(&self.head_path(program_name, options))?;
-        decode_head(&payload)
+        let key = head_key(program_name, options);
+        let head = self.inner.log_lock().heads.get(&key).cloned()?;
+        match head {
+            Head::Log(head) => Some(head),
+            Head::File => decode_head(&self.inner.read_framed(&self.inner.head_file_path(key))?),
+        }
     }
 
-    /// Stores the head record for (`program_name`, `options`), atomically
-    /// (write to a temporary file, fsync, rename). A head already on disk
-    /// with the same bytes is left alone: a repeated run of an unchanged
-    /// program reads the head instead of rewriting it.
+    /// Stores the head record for (`program_name`, `options`): appends a
+    /// head frame to the log, then commits it together with every
+    /// certificate appended since the last commit, with one fsync. It
+    /// returns only after that commit. A head equal to the one in memory
+    /// is not appended again: a repeated run of an unchanged program
+    /// writes nothing (its commit has nothing to sync).
     ///
     /// # Errors
     ///
-    /// Propagates I/O failures.
+    /// Propagates the append or fsync failure; the batch is rolled back,
+    /// so the head is then a miss.
     pub fn save_head(&self, program_name: &str, options: Fp, head: &StoreHead) -> io::Result<()> {
-        let mut e = Enc::new();
-        e.fp(head.program);
-        e.len(head.properties.len());
-        for (name, fp) in &head.properties {
-            e.str(name);
-            e.fp(*fp);
+        let key = head_key(program_name, options);
+        let mut log = self.inner.log_lock();
+        if !matches!(log.heads.get(&key), Some(Head::Log(current)) if current == head) {
+            let (frame, _) = build_frame(HEAD_MAGIC, head_frame_key(key), &enc_head(head));
+            self.inner.append_frame(&mut log, &frame)?;
+            log.heads.insert(key, Head::Log(head.clone()));
+            log.pending_heads.push(key);
         }
-        let path = self.head_path(program_name, options);
-        if self.inner.read_framed(&path).as_deref() == Some(e.buf.as_slice()) {
-            return Ok(());
-        }
-        self.inner.write_framed(&path, &e.buf)
+        self.inner.commit(&mut log)
     }
 
     /// Writes a legacy flat-file entry (the pre-PR-8 one-file-per-
     /// certificate format). Kept for the `rx bench store` flat baseline
-    /// and the migration tests; new code appends to segments via
+    /// and the migration tests; new code appends to the log via
     /// [`ProofStore::save`].
     ///
     /// # Errors
@@ -739,10 +815,8 @@ impl StoreInner {
         self.lru.lock().expect("store hot tier poisoned")
     }
 
-    fn segment_path(&self, shard: usize, seq: u64) -> PathBuf {
-        self.root
-            .join(shard_dir_name(shard))
-            .join(segment_file_name(seq))
+    fn head_file_path(&self, (name, options): HeadKey) -> PathBuf {
+        self.root.join(format!("head-{name}-{options}.head"))
     }
 
     /// Reads a framed file: magic, version, payload integrity fingerprint,
@@ -777,10 +851,10 @@ impl StoreInner {
     }
 
     /// Raw write-fsync-rename (the PR 5 discipline) for already-framed
-    /// bytes: compaction's fresh segments and the manifest swap.
+    /// bytes: compaction's fresh segments, flat entries and probes.
     fn write_atomic(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
         let dir = path.parent().unwrap_or_else(|| Path::new("."));
-        let file_name = path.file_name().and_then(|n| n.to_str()).unwrap_or("entry");
+        let file_name = file_name(path).unwrap_or("entry");
         let tmp = dir.join(format!(".tmp-{}-{file_name}", std::process::id()));
         let result = self
             .fs
@@ -797,141 +871,87 @@ impl StoreInner {
         Ok(())
     }
 
-    /// Writes `m` as the new MANIFEST, atomically.
-    fn write_manifest(&self, m: &Manifest) -> io::Result<()> {
-        self.write_framed(&self.root.join(MANIFEST_FILE), &enc_manifest(m))
+    /// Allocates the next log segment: creates `log/` if needed and
+    /// returns the new sequence number. Sequence numbers are never
+    /// reused, so a segment allocated after another sorts after it.
+    fn next_segment(&self, log: &mut LogState) -> io::Result<u64> {
+        let dir = self.root.join(LOG_DIR);
+        self.fs.create_dir_all(&dir).map_err(|e| {
+            self.count_io_error();
+            err_at(e, "create log directory", &dir)
+        })?;
+        let seq = log.next_seq;
+        log.next_seq += 1;
+        Ok(seq)
     }
 
-    /// Appends one framed entry to its shard, rolling segments as needed
-    /// and registering the entry in the index. Group-commits early when
-    /// the shard's unsynced batch crosses [`GROUP_COMMIT_BYTES`].
-    fn append_entry(
-        &self,
-        log: &mut LogState,
-        key: Key,
-        frame: Vec<u8>,
-        payload_len: u32,
-        payload_fp: u64,
-    ) -> io::Result<()> {
-        let shard = shard_of(key);
-        let needs_roll = match log.shards[shard].active {
-            None => true,
-            Some(_) => {
-                log.shards[shard].written > 0
-                    && log.shards[shard].written + frame.len() as u64 > SEGMENT_CAP_BYTES
-            }
-        };
-        if needs_roll {
-            self.roll_segment(log, shard)?;
+    /// Appends one frame to the active segment, rolling to a fresh one
+    /// when there is none or the frame would cross the size cap. Returns
+    /// the segment and the frame's offset in it. A failed append rolls
+    /// the unsynced batch back.
+    fn append_frame(&self, log: &mut LogState, frame: &[u8]) -> io::Result<(SegId, u64)> {
+        let full = log.written > 0 && log.written + frame.len() as u64 > SEGMENT_CAP_BYTES;
+        if log.active.is_none() || full {
+            // What the full segment holds must be durable before appends
+            // move on past it.
+            self.commit(log)?;
+            log.active = Some(self.next_segment(log)?);
+            log.written = 0;
+            log.durable = 0;
         }
-        let seq = log.shards[shard]
-            .active
-            .expect("rolled shard has a segment");
-        let path = self.segment_path(shard, seq);
-        match self.fs.append(&path, &frame) {
+        let seg = SegId::Log(log.active.expect("rolled log has a segment"));
+        let path = seg.path(&self.root);
+        match self.fs.append(&path, frame) {
             Ok(()) => {
-                let offset = log.shards[shard].written + FRAME_HEADER as u64;
-                log.index.insert(
-                    key,
-                    Loc::Seg {
-                        shard: shard as u8,
-                        seq,
-                        offset,
-                        len: payload_len,
-                        payload_fp,
-                    },
-                );
-                let st = &mut log.shards[shard];
-                st.written += frame.len() as u64;
-                st.dirty = true;
-                st.pending.push(key);
-                if st.written - st.durable >= GROUP_COMMIT_BYTES {
-                    // Opportunistic early commit; a failure already rolled
-                    // this batch back (including the entry just appended),
-                    // and the caller's save still reports Ok — the drop is
-                    // accounted through `dropped_entries`.
-                    let _ = self.flush_shard(log, shard);
-                }
-                Ok(())
+                let start = log.written;
+                log.written += frame.len() as u64;
+                Ok((seg, start))
             }
             Err(e) => {
                 self.count_io_error();
-                // Partial bytes may have landed, and the shard's unsynced
-                // batch can no longer be committed through this segment.
-                // Drop back to the durable prefix (which also trims the
-                // failed append) and seal; the next append starts fresh.
-                self.rollback_shard(log, shard);
+                // Partial bytes may have landed, and the unsynced batch
+                // can no longer be committed through this segment. Drop
+                // back to the durable prefix (which also trims the failed
+                // append) and seal; the next append starts fresh.
+                self.rollback(log);
                 Err(err_at(e, "append to segment", &path))
             }
         }
     }
 
-    /// Starts a fresh segment for `shard`: syncs out the old one, then
-    /// rewrites the manifest *before* the first append — so a crash can
-    /// leave a manifest entry for a missing/empty segment (harmless),
-    /// never an unlisted data-bearing segment.
-    fn roll_segment(&self, log: &mut LogState, shard: usize) -> io::Result<()> {
-        self.flush_shard(log, shard)?;
-        let dir = self.root.join(shard_dir_name(shard));
-        self.fs.create_dir_all(&dir).map_err(|e| {
-            self.count_io_error();
-            err_at(e, "create shard directory", &dir)
-        })?;
-        let seq = log.manifest.next_seq;
-        let mut m2 = log.manifest.clone();
-        m2.segments[shard].push(seq);
-        m2.next_seq = seq + 1;
-        self.write_manifest(&m2)?;
-        log.manifest = m2;
-        let st = &mut log.shards[shard];
-        st.active = Some(seq);
-        st.written = 0;
-        st.durable = 0;
-        st.dirty = false;
-        st.pending.clear();
-        Ok(())
-    }
-
-    /// Fsyncs one shard's active segment. On failure the unsynced batch
-    /// is rolled back: those bytes may not survive a crash, so the store
+    /// The commit: one fsync of the active segment covers everything
+    /// appended since the last commit. On failure the unsynced batch is
+    /// rolled back: those bytes may not survive a crash, so the store
     /// must stop serving them now.
-    fn flush_shard(&self, log: &mut LogState, shard: usize) -> io::Result<()> {
-        if !log.shards[shard].dirty {
+    fn commit(&self, log: &mut LogState) -> io::Result<()> {
+        if log.written == log.durable {
             return Ok(());
         }
-        let seq = log.shards[shard].active.expect("dirty shard has a segment");
-        let path = self.segment_path(shard, seq);
+        let seq = log.active.expect("unsynced appends have a segment");
+        let path = SegId::Log(seq).path(&self.root);
         match self.fs.sync(&path) {
             Ok(()) => {
-                let st = &mut log.shards[shard];
-                st.durable = st.written;
-                st.dirty = false;
-                st.pending.clear();
+                log.durable = log.written;
+                log.pending.clear();
+                log.pending_heads.clear();
                 Ok(())
             }
             Err(e) => {
                 self.count_io_error();
-                self.rollback_shard(log, shard);
+                self.rollback(log);
                 Err(err_at(e, "fsync segment", &path))
             }
         }
     }
 
-    /// Drops a shard's unsynced batch: removes the entries from the index
-    /// (and hot tier), truncates the segment back to its durable length,
-    /// seals it, and counts the loss.
-    fn rollback_shard(&self, log: &mut LogState, shard: usize) {
-        let (pending, durable, active) = {
-            let st = &mut log.shards[shard];
-            let pending = std::mem::take(&mut st.pending);
-            let (durable, active) = (st.durable, st.active);
-            st.written = durable;
-            st.dirty = false;
-            st.active = None;
-            (pending, durable, active)
-        };
-        if pending.is_empty() {
-            return;
+    /// Drops the unsynced batch: removes its certificates from the index
+    /// (and hot tier) and its heads from the head table, truncates the
+    /// segment back to its durable length, seals it, and counts the lost
+    /// certificates.
+    fn rollback(&self, log: &mut LogState) {
+        let pending = std::mem::take(&mut log.pending);
+        for key in std::mem::take(&mut log.pending_heads) {
+            log.heads.remove(&key);
         }
         for k in &pending {
             log.index.remove(k);
@@ -944,173 +964,149 @@ impl StoreInner {
         }
         self.dropped
             .fetch_add(pending.len() as u64, Ordering::SeqCst);
-        if let Some(seq) = active {
+        log.written = log.durable;
+        if let Some(seq) = log.active.take() {
             // Also clears any torn mark under FaultyFs: the untrusted tail
             // is exactly what gets cut away.
-            let _ = self.fs.truncate(&self.segment_path(shard, seq), durable);
-        }
-    }
-
-    /// The group commit over every shard.
-    fn flush_all(&self) -> io::Result<()> {
-        let mut log = self.log_lock();
-        let mut first: Option<io::Error> = None;
-        for shard in 0..SHARD_COUNT {
-            if let Err(e) = self.flush_shard(&mut log, shard) {
-                first.get_or_insert(e);
-            }
-        }
-        match first {
-            None => Ok(()),
-            Some(e) => Err(e),
+            let _ = self
+                .fs
+                .truncate(&SegId::Log(seq).path(&self.root), log.durable);
         }
     }
 }
 
-/// Rebuilds the in-memory index by scanning the manifest's segments (and
-/// any orphans on disk), then legacy flat entries. Unreadable segments
-/// are counted and skipped — their entries are misses, and the watch
-/// loop's degradation logic owns the retry policy.
-fn build_log_state(fs: &dyn VerifyFs, root: &Path, io_errors: &AtomicU64) -> io::Result<LogState> {
-    let mut manifest = {
-        let path = root.join(MANIFEST_FILE);
-        match fs.read(&path) {
-            Ok(bytes) => decode_frame(&bytes).and_then(|p| dec_manifest(&p)),
-            Err(e) => {
-                if e.kind() != io::ErrorKind::NotFound {
-                    io_errors.fetch_add(1, Ordering::SeqCst);
-                }
-                None
-            }
-        }
-    }
-    .unwrap_or_else(Manifest::empty);
+/// What one segment's scan found, in frame order.
+#[derive(Default)]
+struct SegScan {
+    certs: Vec<(Key, Loc)>,
+    heads: Vec<(HeadKey, StoreHead)>,
+    /// The segment could not be read: its entries are misses.
+    skipped: bool,
+}
 
-    // Union in any on-disk segments the manifest does not list (debris of
-    // a crashed compaction): content addressing makes stale duplicates
-    // harmless, and scanning them salvages entries a crash orphaned.
-    for shard in 0..SHARD_COUNT {
-        let dir = root.join(shard_dir_name(shard));
-        if !fs.exists(&dir) {
-            continue;
-        }
-        let Ok(listing) = fs.read_dir(&dir) else {
+fn scan_segment(fs: &dyn VerifyFs, root: &Path, seg: SegId, io_errors: &AtomicU64) -> SegScan {
+    let mut scan = SegScan::default();
+    let bytes = match fs.read(&seg.path(root)) {
+        Ok(b) => b,
+        // Removed between the listing and the read (a racing compaction).
+        Err(e) if e.kind() == io::ErrorKind::NotFound => return scan,
+        Err(_) => {
             io_errors.fetch_add(1, Ordering::SeqCst);
-            continue;
-        };
-        for path in listing {
-            let Some(seq) = path
-                .file_name()
-                .and_then(|n| n.to_str())
-                .and_then(parse_segment_name)
-            else {
-                continue;
-            };
-            if !manifest.segments[shard].contains(&seq) {
-                manifest.segments[shard].push(seq);
-            }
-            manifest.next_seq = manifest.next_seq.max(seq + 1);
+            scan.skipped = true;
+            return scan;
         }
-    }
-
-    // Shards are disjoint key spaces scanned independently; each scan
-    // yields (entries in first-frame-wins order, segments skipped).
-    type ShardScan = (Vec<(Key, Loc)>, u64);
-    let scan_shard = |shard: usize| -> ShardScan {
-        let mut entries: Vec<(Key, Loc)> = Vec::new();
-        let mut skipped = 0u64;
-        for &seq in &manifest.segments[shard] {
-            let path = root
-                .join(shard_dir_name(shard))
-                .join(segment_file_name(seq));
-            let bytes = match fs.read(&path) {
-                Ok(b) => b,
-                // A manifest-first roll that crashed before the first
-                // append leaves a listed-but-missing segment: empty.
-                Err(e) if e.kind() == io::ErrorKind::NotFound => continue,
-                Err(_) => {
-                    io_errors.fetch_add(1, Ordering::SeqCst);
-                    skipped += 1;
-                    continue;
-                }
-            };
-            let mut pos = 0usize;
-            while let Some(frame) = parse_frame(&bytes, pos) {
-                entries.push((
-                    frame.key,
-                    Loc::Seg {
-                        shard: shard as u8,
-                        seq,
-                        offset: frame.payload_start as u64,
-                        len: frame.payload_len as u32,
-                        payload_fp: frame.payload_fp,
-                    },
-                ));
-                pos = frame.payload_start + frame.payload_len;
-            }
-        }
-        (entries, skipped)
     };
-    // Shards fan out across scanner threads when the fs tolerates
+    let mut pos = 0usize;
+    while let Some(frame) = parse_frame(&bytes, pos) {
+        let end = frame.payload_start + frame.payload_len;
+        if frame.head {
+            // An undecodable head is a miss, like an undecodable
+            // certificate.
+            if let Some(head) = decode_head(&bytes[frame.payload_start..end]) {
+                scan.heads.push(((frame.key.0, frame.key.1), head));
+            }
+        } else {
+            scan.certs.push((
+                frame.key,
+                Loc::Seg {
+                    seg,
+                    offset: frame.payload_start as u64,
+                    len: frame.payload_len as u32,
+                    payload_fp: frame.payload_fp,
+                },
+            ));
+        }
+        pos = end;
+    }
+    scan
+}
+
+/// Rebuilds the in-memory index and head table by scanning every segment
+/// (the log's, then the sharded layout's), then legacy flat entries and
+/// head files. Unreadable segments are counted and skipped — their
+/// entries are misses, and the watch loop's degradation logic owns the
+/// retry policy.
+fn build_log_state(fs: &dyn VerifyFs, root: &Path, io_errors: &AtomicU64) -> io::Result<LogState> {
+    let segments = list_segments(fs, root, io_errors)?;
+    // Segments fan out across scanner threads when the fs tolerates
     // concurrent readers (fault-injecting filesystems scan serially so
     // their op schedules replay deterministically) and more than one
-    // core is available. Either way the merge below is identical: keys
-    // cannot collide across shards, and within a shard the scan order is
-    // the append order.
+    // core is available. Either way the merge below applies frames in
+    // scan order.
     let scanners = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
-        .min(SHARD_COUNT);
-    let scanned: Vec<ShardScan> = if fs.concurrent_reads() && scanners > 1 {
+        .min(segments.len());
+    let scan = |seg: SegId| scan_segment(fs, root, seg, io_errors);
+    let scanned: Vec<SegScan> = if fs.concurrent_reads() && scanners > 1 {
         std::thread::scope(|scope| {
-            let scan_shard = &scan_shard;
+            let (scan, segments) = (&scan, &segments);
             let handles: Vec<_> = (0..scanners)
                 .map(|worker| {
                     scope.spawn(move || {
-                        (worker..SHARD_COUNT)
+                        (worker..segments.len())
                             .step_by(scanners)
-                            .map(|shard| (shard, scan_shard(shard)))
+                            .map(|i| (i, scan(segments[i])))
                             .collect::<Vec<_>>()
                     })
                 })
                 .collect();
-            let mut all: Vec<(usize, ShardScan)> = handles
+            let mut all: Vec<(usize, SegScan)> = handles
                 .into_iter()
                 .flat_map(|h| h.join().expect("scanner thread does not panic"))
                 .collect();
-            all.sort_by_key(|(shard, _)| *shard);
-            all.into_iter().map(|(_, r)| r).collect()
+            all.sort_by_key(|(i, _)| *i);
+            all.into_iter().map(|(_, s)| s).collect()
         })
     } else {
-        (0..SHARD_COUNT).map(scan_shard).collect()
+        segments.iter().map(|&seg| scan(seg)).collect()
     };
     let mut index: HashMap<Key, Loc> = HashMap::new();
+    let mut heads: HashMap<HeadKey, Head> = HashMap::new();
     let mut scan_skipped = 0u64;
-    for (entries, skipped) in scanned {
-        scan_skipped += skipped;
-        for (key, loc) in entries {
+    for scan in scanned {
+        scan_skipped += u64::from(scan.skipped);
+        for (key, loc) in scan.certs {
             index.entry(key).or_insert(loc);
+        }
+        for (key, head) in scan.heads {
+            heads.insert(key, Head::Log(head));
         }
     }
 
-    // Legacy flat entries: indexed as a fallback tier (segments win).
+    // Legacy flat entries and sharded-layout head files: fallback tiers
+    // behind the log.
     for path in fs
         .read_dir(root)
         .map_err(|e| err_at(e, "list store root", root))?
     {
-        if let Some(key) = path
-            .file_name()
-            .and_then(|n| n.to_str())
-            .and_then(parse_entry_name)
-        {
+        let Some(name) = file_name(&path) else {
+            continue;
+        };
+        if let Some(key) = parse_entry_name(name) {
             index.entry(key).or_insert(Loc::Flat);
+        } else if let Some(key) = parse_head_name(name) {
+            heads.entry(key).or_insert(Head::File);
         }
     }
 
+    let next_seq = segments
+        .iter()
+        .filter_map(|seg| match seg {
+            SegId::Log(seq) => Some(seq + 1),
+            SegId::Shard(..) => None,
+        })
+        .max()
+        .unwrap_or(0);
     Ok(LogState {
         index,
-        shards: vec![ShardState::default(); SHARD_COUNT],
-        manifest,
+        heads,
+        active: None,
+        next_seq,
+        written: 0,
+        durable: 0,
+        pending: Vec::new(),
+        pending_heads: Vec::new(),
         build_ms: 0.0,
         scan_skipped,
     })
@@ -1123,11 +1119,11 @@ pub const QUARANTINE_DIR: &str = "quarantine";
 /// and did.
 #[derive(Debug, Clone, Default)]
 pub struct ScrubReport {
-    /// Entries examined: segment frames, flat `.cert` files and `.head`
-    /// files.
+    /// Entries examined: segment frames (certificates and heads), flat
+    /// `.cert` files and `.head` files.
     pub scanned: usize,
-    /// Entries that validated clean and were kept (rewritten into fresh
-    /// segments, or left in place for heads).
+    /// Entries that validated clean and were kept: the live certificates
+    /// and the newest head per key, rewritten into fresh segments.
     pub ok: usize,
     /// Stale temporary/probe files deleted (compaction).
     pub tmp_removed: usize,
@@ -1137,8 +1133,9 @@ pub struct ScrubReport {
     /// Legacy flat entries rewritten into segments (their flat files are
     /// removed after the new segments are durable).
     pub migrated: usize,
-    /// Duplicate frames for already-live keys dropped during the rewrite
-    /// (content-addressed, so they held identical payloads).
+    /// Entries dropped during the rewrite because a live one shadows
+    /// them: duplicate certificates (content-addressed, so they held
+    /// identical payloads) and older heads for the same key.
     pub superseded: usize,
     /// Fresh segments written by the rewrite.
     pub segments_written: usize,
@@ -1244,10 +1241,12 @@ impl ProofStore {
         self.compact(None)
     }
 
-    /// Compacts the store: validates every segment frame, flat entry and
-    /// head record, rewrites the live set into fresh segments, atomically
-    /// swaps the manifest, then removes the old segments and migrated
-    /// flat files.
+    /// Compacts the store: validates every log frame, sharded-layout
+    /// segment frame, flat entry and head file, rewrites the live
+    /// certificates and the newest head per key into fresh log segments,
+    /// then removes everything they replace: old segments, the sharded
+    /// layout's directories, head files and manifest, and migrated flat
+    /// files.
     ///
     /// * Corrupt frames are **quarantined** (their bytes are preserved
     ///   under [`QUARANTINE_DIR`], with a reason), and a corrupt frame
@@ -1258,33 +1257,37 @@ impl ProofStore {
     /// * With `validate` supplied, every entry keyed by that program and
     ///   options is additionally run through the independent certificate
     ///   checker; rejects are quarantined too ("checker rejected").
-    /// * Duplicate frames for one key are superseded (content-addressed:
-    ///   identical payloads) and dropped.
+    /// * Duplicate certificate frames for one key (content-addressed:
+    ///   identical payloads) and older head frames for one key are
+    ///   superseded and dropped.
     /// * Stale `.tmp-*` / `.probe-*` files — debris of crashed writers —
     ///   are deleted.
     /// * When anything was quarantined, a machine-readable report is
     ///   written to a fresh `quarantine/report-NNNN.json` (one per pass,
     ///   never overwritten) and mirrored to `quarantine/report.json`.
     ///
-    /// The manifest swap is the commit point: a crash before it leaves
-    /// the old manifest and old segments intact (fresh segments are
-    /// orphans with duplicate content — harmless); a crash after it
-    /// leaves old segments as unreferenced files that the next
-    /// compaction sweeps.
+    /// Fresh segments are written whole (temporary file, fsync, rename)
+    /// before anything is removed. A crash before the removal leaves the
+    /// old files beside them: their certificates are duplicates, and
+    /// fresh segments sort after every old one, so their heads win. The
+    /// next compaction sweeps the leftovers.
     ///
     /// # Errors
     ///
     /// Listing failures, unreadable segments, and failures writing the
-    /// fresh segments or the manifest (all with the offending path in the
-    /// message). On error the store keeps serving its current index.
+    /// fresh segments (all with the offending path in the message). On
+    /// error the store keeps serving its current index.
     pub fn compact(
         &self,
         validate: Option<(&CheckedProgram, &ProverOptions)>,
     ) -> io::Result<ScrubReport> {
-        let _ = self.flush();
         let inner = &*self.inner;
         let quarantine = inner.root.join(QUARANTINE_DIR);
         let mut log = inner.log_lock();
+        let _ = inner.commit(&mut log);
+        // Seal the active segment: appends after this pass, committed or
+        // aborted, go to a segment that sorts after its fresh ones.
+        log.active = None;
         let mut report = ScrubReport::default();
 
         // Key → property name, for entries the supplied program can vouch
@@ -1328,16 +1331,18 @@ impl ProofStore {
                 }
             };
 
-        // Pass 1: the root directory — tmp/probe debris, head records,
-        // legacy flat entries.
+        // Pass 1: the root directory — tmp/probe debris, legacy flat
+        // entries, the sharded layout's head files and manifest. Valid
+        // files are folded into the log and removed once it is durable.
         let mut flat_live: Vec<(Key, Vec<u8>)> = Vec::new();
-        let mut flat_files: HashMap<Key, PathBuf> = HashMap::new();
+        let mut file_heads: Vec<(HeadKey, StoreHead)> = Vec::new();
+        let mut replaced: Vec<PathBuf> = Vec::new();
         for path in inner
             .fs
             .read_dir(&inner.root)
             .map_err(|e| err_at(e, "list store root", &inner.root))?
         {
-            let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
+            let Some(name) = file_name(&path) else {
                 continue;
             };
             if name.starts_with(".tmp-") || name.starts_with(".probe-") {
@@ -1346,13 +1351,17 @@ impl ProofStore {
                 }
                 continue;
             }
+            if name == SHARDED_MANIFEST {
+                replaced.push(path);
+                continue;
+            }
             let is_cert = name.ends_with(".cert");
             let is_head = name.ends_with(".head");
             if !is_cert && !is_head {
-                continue; // MANIFEST, shard dirs, quarantine/, user files, …
+                continue; // log/, shard dirs, quarantine/, user files, …
             }
             report.scanned += 1;
-            let verdict: Result<Option<(Key, Vec<u8>)>, String> = match inner.fs.read(&path) {
+            let verdict: Result<(), String> = match inner.fs.read(&path) {
                 Err(e) => {
                     inner.count_io_error();
                     Err(format!("unreadable: {e}"))
@@ -1361,27 +1370,25 @@ impl ProofStore {
                     None => Err(
                         "corrupt frame (bad magic, version, or integrity fingerprint)".to_owned(),
                     ),
-                    Some(payload) if is_head => match decode_head(&payload) {
-                        Some(_) => Ok(None),
-                        None => Err("undecodable head payload".to_owned()),
-                    },
-                    Some(payload) => match parse_entry_name(name) {
-                        None => Err("unparseable entry file name".to_owned()),
-                        Some(key) => {
-                            match check_payload(key, &payload, &mut report.checker_rejected) {
-                                Ok(()) => Ok(Some((key, payload))),
-                                Err(reason) => Err(reason),
+                    Some(payload) if is_head => {
+                        match (parse_head_name(name), decode_head(&payload)) {
+                            (None, _) => Err("unparseable head file name".to_owned()),
+                            (_, None) => Err("undecodable head payload".to_owned()),
+                            (Some(key), Some(head)) => {
+                                file_heads.push((key, head));
+                                Ok(())
                             }
                         }
+                    }
+                    Some(payload) => match parse_entry_name(name) {
+                        None => Err("unparseable entry file name".to_owned()),
+                        Some(key) => check_payload(key, &payload, &mut report.checker_rejected)
+                            .map(|()| flat_live.push((key, payload))),
                     },
                 },
             };
             match verdict {
-                Ok(None) => report.ok += 1, // heads stay in place
-                Ok(Some((key, payload))) => {
-                    flat_files.insert(key, path.clone());
-                    flat_live.push((key, payload));
-                }
+                Ok(()) => replaced.push(path),
                 Err(reason) => {
                     let moved = inner
                         .fs
@@ -1396,212 +1403,186 @@ impl ProofStore {
             }
         }
 
-        // Pass 2: every segment the (merged) manifest knows about.
+        // Pass 2: every segment on disk, in scan order.
+        let segments = list_segments(inner.fs.as_ref(), &inner.root, &inner.io_errors)?;
         let mut live: Vec<(Key, Vec<u8>)> = Vec::new();
         let mut seen: HashSet<Key> = HashSet::new();
-        for shard in 0..SHARD_COUNT {
-            for &seq in &log.manifest.segments[shard] {
-                let path = inner.segment_path(shard, seq);
-                let bytes = match inner.fs.read(&path) {
-                    Ok(b) => b,
-                    Err(e) if e.kind() == io::ErrorKind::NotFound => continue,
-                    Err(e) => {
-                        inner.count_io_error();
-                        return Err(err_at(e, "read segment during compaction", &path));
-                    }
-                };
-                let mut pos = 0usize;
-                loop {
-                    match parse_frame(&bytes, pos) {
-                        Some(frame) => {
-                            report.scanned += 1;
-                            let end = frame.payload_start + frame.payload_len;
-                            if seen.contains(&frame.key) {
-                                report.superseded += 1;
-                            } else {
-                                let payload = &bytes[frame.payload_start..end];
-                                match check_payload(
-                                    frame.key,
-                                    payload,
-                                    &mut report.checker_rejected,
-                                ) {
-                                    Ok(()) => {
-                                        seen.insert(frame.key);
-                                        live.push((frame.key, payload.to_vec()));
-                                    }
-                                    Err(reason) => {
-                                        let fname = format!(
-                                            "shard-{shard:02x}-seg-{seq:08}-off-{pos}.frame"
-                                        );
-                                        let _ =
-                                            inner.fs.create_dir_all(&quarantine).and_then(|()| {
-                                                inner.fs.write(
-                                                    &quarantine.join(&fname),
-                                                    &bytes[pos..end],
-                                                )
-                                            });
-                                        report.quarantined.push((fname, reason));
-                                    }
-                                }
-                            }
-                            pos = end;
-                        }
-                        None => {
-                            if pos < bytes.len() {
-                                // Unparseable tail: quarantine it whole —
-                                // the frames inside it (if any) cannot be
-                                // trusted past the corruption point.
-                                report.scanned += 1;
-                                let fname =
-                                    format!("shard-{shard:02x}-seg-{seq:08}-off-{pos}.frame");
-                                let _ = inner.fs.create_dir_all(&quarantine).and_then(|()| {
-                                    inner.fs.write(&quarantine.join(&fname), &bytes[pos..])
-                                });
-                                report.quarantined.push((
-                                    fname,
-                                    "corrupt frame (bad magic, version, bounds, or integrity \
-                                     fingerprint)"
-                                        .to_owned(),
-                                ));
-                            }
-                            break;
-                        }
-                    }
+        let mut heads: HashMap<HeadKey, StoreHead> = HashMap::new();
+        let quarantine_bytes = |fname: &str, bytes: &[u8]| {
+            let _ = inner
+                .fs
+                .create_dir_all(&quarantine)
+                .and_then(|()| inner.fs.write(&quarantine.join(fname), bytes));
+        };
+        for &seg in &segments {
+            let path = seg.path(&inner.root);
+            let bytes = match inner.fs.read(&path) {
+                Ok(b) => b,
+                Err(e) if e.kind() == io::ErrorKind::NotFound => continue,
+                Err(e) => {
+                    inner.count_io_error();
+                    return Err(err_at(e, "read segment during compaction", &path));
                 }
+            };
+            let mut pos = 0usize;
+            while let Some(frame) = parse_frame(&bytes, pos) {
+                report.scanned += 1;
+                let end = frame.payload_start + frame.payload_len;
+                let payload = &bytes[frame.payload_start..end];
+                let verdict = if frame.head {
+                    match decode_head(payload) {
+                        Some(head) => {
+                            // Last frame wins: an earlier head is superseded.
+                            if heads.insert((frame.key.0, frame.key.1), head).is_some() {
+                                report.superseded += 1;
+                            }
+                            Ok(())
+                        }
+                        None => Err("undecodable head payload".to_owned()),
+                    }
+                } else if seen.contains(&frame.key) {
+                    report.superseded += 1;
+                    Ok(())
+                } else {
+                    check_payload(frame.key, payload, &mut report.checker_rejected).map(|()| {
+                        seen.insert(frame.key);
+                        live.push((frame.key, payload.to_vec()));
+                    })
+                };
+                if let Err(reason) = verdict {
+                    let fname = format!("{}-off-{pos}.frame", seg.label());
+                    quarantine_bytes(&fname, &bytes[pos..end]);
+                    report.quarantined.push((fname, reason));
+                }
+                pos = end;
+            }
+            if pos < bytes.len() {
+                // Unparseable tail: quarantine it whole — the frames
+                // inside it (if any) cannot be trusted past the
+                // corruption point.
+                report.scanned += 1;
+                let fname = format!("{}-off-{pos}.frame", seg.label());
+                quarantine_bytes(&fname, &bytes[pos..]);
+                report.quarantined.push((
+                    fname,
+                    "corrupt frame (bad magic, version, bounds, or integrity fingerprint)"
+                        .to_owned(),
+                ));
             }
         }
 
-        // Merge the flat tier behind the segments (segments win), then fix
-        // a deterministic rewrite order.
-        let mut migrated_paths: Vec<PathBuf> = Vec::new();
+        // Merge the fallback tiers behind the log (log frames win), then
+        // fix a deterministic rewrite order.
         for (key, payload) in flat_live {
-            if seen.contains(&key) {
-                report.superseded += 1;
-                // The flat duplicate of a segment entry is removed with the
-                // old segments below.
-                if let Some(p) = flat_files.remove(&key) {
-                    migrated_paths.push(p);
-                }
-            } else {
-                seen.insert(key);
+            if seen.insert(key) {
                 report.migrated += 1;
-                if let Some(p) = flat_files.remove(&key) {
-                    migrated_paths.push(p);
-                }
                 live.push((key, payload));
+            } else {
+                report.superseded += 1;
+            }
+        }
+        for (key, head) in file_heads {
+            match heads.entry(key) {
+                std::collections::hash_map::Entry::Occupied(_) => report.superseded += 1,
+                std::collections::hash_map::Entry::Vacant(slot) => {
+                    slot.insert(head);
+                }
             }
         }
         live.sort_by_key(|(k, _)| *k);
-        report.ok += live.len();
+        let mut heads: Vec<(HeadKey, StoreHead)> = heads.into_iter().collect();
+        heads.sort_by_key(|(k, _)| *k);
+        report.ok += live.len() + heads.len();
 
-        // Pass 3: rewrite the live set into fresh segments, build the new
-        // index as we go.
-        let mut m2 = Manifest::empty();
-        m2.next_seq = log.manifest.next_seq;
+        // Pass 3: lay the live set out into segment-sized chunks,
+        // certificates then heads, and write each as a fresh segment.
+        let head_payloads: Vec<(HeadKey, Vec<u8>)> =
+            heads.iter().map(|(k, h)| (*k, enc_head(h))).collect();
+        let frames = live
+            .iter()
+            .map(|(key, payload)| (CERT_MAGIC, *key, payload))
+            .chain(
+                head_payloads
+                    .iter()
+                    .map(|(key, payload)| (HEAD_MAGIC, head_frame_key(*key), payload)),
+            );
+        // (segment bytes, (key, payload offset, payload length, payload fp)
+        // of each certificate in it).
+        type Chunk = (Vec<u8>, Vec<(Key, u64, u32, u64)>);
+        let mut chunks: Vec<Chunk> = Vec::new();
+        for (magic, key, payload) in frames {
+            let (frame, payload_fp) = build_frame(magic, key, payload);
+            let fits = chunks.last().is_some_and(|(bytes, _)| {
+                bytes.len() as u64 + frame.len() as u64 <= SEGMENT_CAP_BYTES
+            });
+            if !fits {
+                chunks.push(Chunk::default());
+            }
+            let (bytes, certs) = chunks.last_mut().expect("a chunk was just ensured");
+            if magic == CERT_MAGIC {
+                let offset = (bytes.len() + FRAME_HEADER) as u64;
+                certs.push((key, offset, payload.len() as u32, payload_fp));
+            }
+            bytes.extend_from_slice(&frame);
+        }
         let mut new_index: HashMap<Key, Loc> = HashMap::new();
-        for shard in 0..SHARD_COUNT {
-            let mut seg_bytes: Vec<u8> = Vec::new();
-            let mut seg_locs: Vec<(Key, u64, u32, u64)> = Vec::new();
-            let flush_seg = |seg_bytes: &mut Vec<u8>,
-                             seg_locs: &mut Vec<(Key, u64, u32, u64)>,
-                             m2: &mut Manifest,
-                             new_index: &mut HashMap<Key, Loc>,
-                             report: &mut ScrubReport|
-             -> io::Result<()> {
-                if seg_bytes.is_empty() {
-                    return Ok(());
-                }
-                let seq = m2.next_seq;
-                let dir = inner.root.join(shard_dir_name(shard));
-                inner
-                    .fs
-                    .create_dir_all(&dir)
-                    .map_err(|e| err_at(e, "create shard directory", &dir))?;
-                inner.write_atomic(&inner.segment_path(shard, seq), seg_bytes)?;
-                for (key, offset, len, payload_fp) in seg_locs.drain(..) {
-                    new_index.insert(
-                        key,
-                        Loc::Seg {
-                            shard: shard as u8,
-                            seq,
-                            offset,
-                            len,
-                            payload_fp,
-                        },
-                    );
-                }
-                m2.segments[shard].push(seq);
-                m2.next_seq = seq + 1;
-                report.segments_written += 1;
-                seg_bytes.clear();
-                Ok(())
-            };
-            for (key, payload) in live.iter().filter(|(k, _)| shard_of(*k) == shard) {
-                let (frame, payload_fp) = build_frame(*key, payload);
-                if !seg_bytes.is_empty()
-                    && seg_bytes.len() as u64 + frame.len() as u64 > SEGMENT_CAP_BYTES
-                {
-                    flush_seg(
-                        &mut seg_bytes,
-                        &mut seg_locs,
-                        &mut m2,
-                        &mut new_index,
-                        &mut report,
-                    )?;
-                }
-                let offset = seg_bytes.len() as u64 + FRAME_HEADER as u64;
-                seg_locs.push((*key, offset, payload.len() as u32, payload_fp));
-                seg_bytes.extend_from_slice(&frame);
+        for (bytes, certs) in chunks {
+            let seq = inner.next_segment(&mut log)?;
+            inner.write_atomic(&SegId::Log(seq).path(&inner.root), &bytes)?;
+            report.segments_written += 1;
+            for (key, offset, len, payload_fp) in certs {
+                new_index.insert(
+                    key,
+                    Loc::Seg {
+                        seg: SegId::Log(seq),
+                        offset,
+                        len,
+                        payload_fp,
+                    },
+                );
             }
-            flush_seg(
-                &mut seg_bytes,
-                &mut seg_locs,
-                &mut m2,
-                &mut new_index,
-                &mut report,
-            )?;
         }
 
-        // Pass 4: the commit point — swap the manifest.
-        inner.write_manifest(&m2)?;
-
-        // Pass 5: sweep what the new manifest no longer references — old
-        // segments, shard-dir debris, migrated flat files. Best-effort:
-        // leftovers are orphans the next compaction sweeps.
-        for shard in 0..SHARD_COUNT {
-            let dir = inner.root.join(shard_dir_name(shard));
-            if !inner.fs.exists(&dir) {
-                continue;
-            }
-            let Ok(listing) = inner.fs.read_dir(&dir) else {
-                continue;
-            };
+        // Pass 4: the fresh segments are durable; sweep what they
+        // replace. Best-effort: leftovers are duplicates the next
+        // compaction sweeps.
+        for seg in &segments {
+            let _ = inner.fs.remove_file(&seg.path(&inner.root));
+        }
+        let mut shard_dirs: Vec<u8> = segments
+            .iter()
+            .filter_map(|seg| match seg {
+                SegId::Shard(shard, _) => Some(*shard),
+                SegId::Log(_) => None,
+            })
+            .collect();
+        shard_dirs.dedup();
+        for shard in shard_dirs {
+            let _ = inner
+                .fs
+                .remove_dir(&inner.root.join(format!("shard-{shard:02x}")));
+        }
+        if let Ok(listing) = inner.fs.read_dir(&inner.root.join(LOG_DIR)) {
             for path in listing {
-                let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
-                    continue;
-                };
-                if name.starts_with(".tmp-") {
-                    if inner.fs.remove_file(&path).is_ok() {
-                        report.tmp_removed += 1;
-                    }
-                    continue;
-                }
-                match parse_segment_name(name) {
-                    Some(seq) if !m2.segments[shard].contains(&seq) => {
-                        let _ = inner.fs.remove_file(&path);
-                    }
-                    _ => {}
+                if file_name(&path).is_some_and(|n| n.starts_with(".tmp-"))
+                    && inner.fs.remove_file(&path).is_ok()
+                {
+                    report.tmp_removed += 1;
                 }
             }
         }
-        for path in migrated_paths {
+        for path in replaced {
             let _ = inner.fs.remove_file(&path);
         }
 
-        // Pass 6: serve the rewritten store.
-        log.manifest = m2;
+        // Pass 5: serve the rewritten store.
         log.index = new_index;
-        log.shards = vec![ShardState::default(); SHARD_COUNT];
+        log.heads = heads
+            .into_iter()
+            .map(|(key, head)| (key, Head::Log(head)))
+            .collect();
+        log.written = 0;
+        log.durable = 0;
         drop(log);
 
         if !report.quarantined.is_empty() {
@@ -1629,22 +1610,19 @@ impl ProofStore {
 /// A snapshot of the store's shape and health (`rx store stat`).
 #[derive(Debug, Clone, Default)]
 pub struct StoreStat {
-    /// Keys served from segment logs.
+    /// Keys served from segments.
     pub entries: usize,
     /// Keys still served from legacy flat files.
     pub flat_entries: usize,
-    /// Head records under the root.
+    /// Head records served (head frames in the log, plus sharded-layout
+    /// head files not yet folded into it).
     pub heads: usize,
-    /// Shards (fixed by the format).
-    pub shards: usize,
-    /// Live segment files.
+    /// Segment files on disk.
     pub segments: usize,
-    /// Total bytes across live segment files.
+    /// Total bytes across segment files.
     pub segment_bytes: u64,
     /// Total bytes across legacy flat entry files.
     pub flat_bytes: u64,
-    /// Total bytes across head files.
-    pub head_bytes: u64,
     /// Wall-clock cost of the open-time index build, milliseconds.
     pub index_build_ms: f64,
     /// Segments skipped (unreadable) during the open-time index build.
@@ -1658,19 +1636,16 @@ impl StoreStat {
     pub fn render_text(&self) -> String {
         format!(
             "entries        {} in segments, {} flat, {} heads\n\
-             segments       {} across {} shards ({} bytes)\n\
+             segments       {} ({} bytes)\n\
              flat bytes     {}\n\
-             head bytes     {}\n\
              index build    {:.3} ms ({} segments skipped)\n\
              hot tier       {} certificates\n",
             self.entries,
             self.flat_entries,
             self.heads,
             self.segments,
-            self.shards,
             self.segment_bytes,
             self.flat_bytes,
-            self.head_bytes,
             self.index_build_ms,
             self.scan_skipped,
             self.hot_entries
@@ -1682,18 +1657,15 @@ impl StoreStat {
         format!(
             concat!(
                 "{{\n  \"entries\": {},\n  \"flat_entries\": {},\n  \"heads\": {},\n",
-                "  \"shards\": {},\n  \"segments\": {},\n  \"segment_bytes\": {},\n",
-                "  \"flat_bytes\": {},\n  \"head_bytes\": {},\n  \"index_build_ms\": {:.3},\n",
-                "  \"scan_skipped\": {},\n  \"hot_entries\": {}\n}}\n"
+                "  \"segments\": {},\n  \"segment_bytes\": {},\n  \"flat_bytes\": {},\n",
+                "  \"index_build_ms\": {:.3},\n  \"scan_skipped\": {},\n  \"hot_entries\": {}\n}}\n"
             ),
             self.entries,
             self.flat_entries,
             self.heads,
-            self.shards,
             self.segments,
             self.segment_bytes,
             self.flat_bytes,
-            self.head_bytes,
             self.index_build_ms,
             self.scan_skipped,
             self.hot_entries
@@ -1702,8 +1674,8 @@ impl StoreStat {
 }
 
 impl ProofStore {
-    /// Measures the store: entry/segment/shard counts, on-disk bytes and
-    /// the open-time index build cost.
+    /// Measures the store: entry, head and segment counts, on-disk bytes
+    /// and the open-time index build cost.
     ///
     /// # Errors
     ///
@@ -1713,7 +1685,7 @@ impl ProofStore {
         let inner = &*self.inner;
         let log = inner.log_lock();
         let mut stat = StoreStat {
-            shards: SHARD_COUNT,
+            heads: log.heads.len(),
             index_build_ms: log.build_ms,
             scan_skipped: log.scan_skipped,
             hot_entries: inner.lru_lock().map.len(),
@@ -1725,13 +1697,10 @@ impl ProofStore {
                 Loc::Flat => stat.flat_entries += 1,
             }
         }
-        for shard in 0..SHARD_COUNT {
-            for &seq in &log.manifest.segments[shard] {
-                let path = inner.segment_path(shard, seq);
-                if let Ok(len) = inner.fs.file_len(&path) {
-                    stat.segments += 1;
-                    stat.segment_bytes += len;
-                }
+        for seg in list_segments(inner.fs.as_ref(), &inner.root, &inner.io_errors)? {
+            if let Ok(len) = inner.fs.file_len(&seg.path(&inner.root)) {
+                stat.segments += 1;
+                stat.segment_bytes += len;
             }
         }
         for path in inner
@@ -1739,14 +1708,8 @@ impl ProofStore {
             .read_dir(&inner.root)
             .map_err(|e| err_at(e, "list store root", &inner.root))?
         {
-            let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
-                continue;
-            };
-            if name.ends_with(".cert") {
+            if file_name(&path).is_some_and(|n| n.ends_with(".cert")) {
                 stat.flat_bytes += inner.fs.file_len(&path).unwrap_or(0);
-            } else if name.ends_with(".head") {
-                stat.heads += 1;
-                stat.head_bytes += inner.fs.file_len(&path).unwrap_or(0);
             }
         }
         Ok(stat)
@@ -1880,11 +1843,11 @@ pub fn load_candidates_where(
     previous
 }
 
-/// The **persist** half of [`verify_with_store`]: writes this run's
-/// certificates and the program's head record back to the store, group-
-/// committing the whole batch with one [`ProofStore::flush`], and returns
-/// how many entries are durably saved (batch entries rolled back by a
-/// failed commit are subtracted).
+/// The **persist** half of [`verify_with_store`]: appends this run's
+/// certificates and the program's head record to the store's log and
+/// commits them with one fsync ([`ProofStore::save_head`]), or none when
+/// nothing changed, and returns how many entries are durably saved
+/// (batch entries rolled back by a failed commit are subtracted).
 ///
 /// Best-effort by design: I/O failures cost future misses, never
 /// verification failures. Outcomes are persisted serially in declaration
@@ -1907,10 +1870,6 @@ pub fn persist_outcomes(
             saved += 1;
         }
     }
-    // The group commit for everything this run appended. A failed shard
-    // rolls its batch back; those entries were counted saved above, so the
-    // dropped delta comes back off the total.
-    let _ = store.flush();
     let head = StoreHead {
         program: fps.program,
         properties: new
@@ -1920,6 +1879,9 @@ pub fn persist_outcomes(
             .filter_map(|p| Some((p.name.clone(), fps.property(&p.name)?)))
             .collect(),
     };
+    // The commit for everything this run appended. A failed commit rolls
+    // the batch back; its entries were counted saved above, so the
+    // dropped delta comes back off the total.
     let _ = store.save_head(&new.program().name, opts_fp, &head);
     let dropped = usize::try_from(store.dropped_entries().saturating_sub(dropped_before))
         .unwrap_or(usize::MAX);
@@ -1931,22 +1893,31 @@ mod tests {
     use super::*;
 
     #[test]
-    fn manifests_round_trip() {
-        let mut m = Manifest::empty();
-        m.segments[3] = vec![0, 5, 9];
-        m.segments[15] = vec![2];
-        m.next_seq = 10;
-        let back = dec_manifest(&enc_manifest(&m)).expect("decodes");
-        assert_eq!(back.segments, m.segments);
-        assert_eq!(back.next_seq, m.next_seq);
-        assert!(dec_manifest(&enc_manifest(&m)[1..]).is_none());
+    fn head_records_round_trip_and_name_files_back() {
+        let head = StoreHead {
+            program: Fp(0xabc),
+            properties: vec![("Safe".into(), Fp(1)), ("Live".into(), Fp(u64::MAX))],
+        };
+        assert_eq!(decode_head(&enc_head(&head)), Some(head.clone()));
+        assert_eq!(decode_head(&enc_head(&head)[1..]), None);
+        let key = (Fp(0xdead), Fp(7));
+        let (frame, _) = build_frame(HEAD_MAGIC, head_frame_key(key), &enc_head(&head));
+        let f = parse_frame(&frame, 0).expect("parses");
+        assert!(f.head, "a head frame is told apart from certificates");
+        assert_eq!((f.key.0, f.key.1), key);
+        assert_eq!(
+            parse_head_name(&format!("head-{}-{}.head", key.0, key.1)),
+            Some(key)
+        );
+        assert_eq!(parse_head_name("head-x-y.head"), None);
     }
 
     #[test]
     fn frames_parse_back_and_reject_corruption() {
         let key = (Fp(1), Fp(2), Fp(3));
-        let (frame, pfp) = build_frame(key, b"payload-bytes");
+        let (frame, pfp) = build_frame(CERT_MAGIC, key, b"payload-bytes");
         let f = parse_frame(&frame, 0).expect("parses");
+        assert!(!f.head);
         assert_eq!(f.key, key);
         assert_eq!(f.payload_fp, pfp);
         assert_eq!(

@@ -50,6 +50,8 @@ pub trait VerifyFs: fmt::Debug + Send + Sync {
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()>;
     /// Removes a file.
     fn remove_file(&self, path: &Path) -> io::Result<()>;
+    /// Removes an empty directory.
+    fn remove_dir(&self, path: &Path) -> io::Result<()>;
     /// Creates a directory and all missing parents.
     fn create_dir_all(&self, path: &Path) -> io::Result<()>;
     /// The entries of a directory (files and subdirectories), sorted by
@@ -116,6 +118,10 @@ impl VerifyFs for RealFs {
 
     fn remove_file(&self, path: &Path) -> io::Result<()> {
         fs::remove_file(path)
+    }
+
+    fn remove_dir(&self, path: &Path) -> io::Result<()> {
+        fs::remove_dir(path)
     }
 
     fn create_dir_all(&self, path: &Path) -> io::Result<()> {
@@ -438,6 +444,10 @@ impl VerifyFs for FaultyFs {
     fn remove_file(&self, path: &Path) -> io::Result<()> {
         self.mark_torn(path, false);
         self.inner.real.remove_file(path)
+    }
+
+    fn remove_dir(&self, path: &Path) -> io::Result<()> {
+        self.inner.real.remove_dir(path)
     }
 
     fn create_dir_all(&self, path: &Path) -> io::Result<()> {

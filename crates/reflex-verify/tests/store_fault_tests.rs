@@ -3,8 +3,8 @@
 //! produce byte-identical certificates or degrade to a miss (and a
 //! re-prove) — never hand back a wrong certificate the checker accepts.
 //! Also pins the crash-window fix: a torn write (reported as successful,
-//! tail lost) must be surfaced by the pre-rename fsync, so no damaged
-//! frame ever lands at a final entry path.
+//! tail lost) must be surfaced by the commit's fsync, so no damaged frame
+//! is ever served.
 
 use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
@@ -58,10 +58,11 @@ fn assert_matches_baseline(context: &str, outcomes: &[(String, reflex_verify::Ou
     }
 }
 
-/// The crash window the fsync fix closes: a torn first write claims
-/// success but loses its tail. Without `sync` before the atomic rename
-/// the damaged frame would land at the final path; with it, the save
-/// aborts and the entry is simply missing — a future miss, re-proved
+/// The crash window the fsync fix closes: a torn first append claims
+/// success but loses its tail. Without the commit's fsync the damaged
+/// frame would be served after a crash; with it, the commit fails and
+/// rolls back the whole batch it covered — every certificate of the run
+/// and its head — so each is simply missing: a future miss, re-proved
 /// with an identical certificate.
 #[test]
 fn torn_write_is_surfaced_by_fsync_and_never_lands() {
@@ -79,21 +80,30 @@ fn torn_write_is_surfaced_by_fsync_and_never_lands() {
     assert_matches_baseline("faulted save", &sr.report.outcomes);
     assert_eq!(fs.injected(), 1, "exactly the scripted torn write fired");
     assert_eq!(
-        sr.saved,
-        baseline().len() - 1,
-        "the torn entry must not count as saved"
+        sr.saved, 0,
+        "no entry of the failed commit, the torn one included, counts as saved"
     );
     assert!(store.io_errors() > 0, "the failed fsync is counted");
-
-    // No damaged frame landed: every entry on disk decodes and matches
-    // the baseline; the torn property is a plain miss.
-    let healed = ProofStore::open(&dir).expect("store re-opens on the real fs");
-    let candidates = load_candidates(car(), &options, &healed);
-    assert_eq!(
-        candidates.len(),
-        baseline().len() - 1,
-        "the torn entry is a miss, the rest are hits"
+    assert!(
+        load_candidates(car(), &options, &store).is_empty(),
+        "the rolled-back batch is not served"
     );
+
+    // No damaged frame landed: a fresh open finds nothing to serve.
+    let healed = ProofStore::open(&dir).expect("store re-opens on the real fs");
+    assert!(
+        load_candidates(car(), &options, &healed).is_empty(),
+        "every entry of the failed commit is a miss"
+    );
+
+    // A clean second run re-proves and re-saves everything, converging
+    // to the baseline.
+    let sr2 = verify_with_store(car(), &options, &healed, 1).expect("verifies");
+    assert_matches_baseline("healed reload", &sr2.report.outcomes);
+    assert_eq!(sr2.loaded, 0);
+    assert_eq!(sr2.saved, baseline().len());
+    let candidates = load_candidates(car(), &options, &healed);
+    assert_eq!(candidates.len(), baseline().len(), "store is whole again");
     for (name, cert) in &candidates {
         let (_, expected) = baseline()
             .iter()
@@ -101,17 +111,7 @@ fn torn_write_is_surfaced_by_fsync_and_never_lands() {
             .expect("known property");
         assert_eq!(cert, expected, "{name}: store entry is byte-identical");
     }
-
-    // A clean second run serves the survivors and re-proves (and
-    // re-saves) the missing one, converging to the baseline.
-    let sr2 = verify_with_store(car(), &options, &healed, 1).expect("verifies");
-    assert_matches_baseline("healed reload", &sr2.report.outcomes);
-    assert_eq!(sr2.loaded, baseline().len() - 1);
-    // Every entry reports saved: the survivors as content-addressed
-    // no-ops, the torn one re-persisted for real.
-    assert_eq!(sr2.saved, baseline().len());
-    let candidates = load_candidates(car(), &options, &healed);
-    assert_eq!(candidates.len(), baseline().len(), "store is whole again");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 proptest! {
@@ -177,9 +177,14 @@ proptest! {
 fn repeated_scrubs_keep_every_report() {
     let dir = temp_store("scrub-reports");
     let options = ProverOptions::default();
-    {
+    // Two runs, each from its own open, file into two log segments: the
+    // first scrub's damage ends one segment's scan and leaves the other
+    // for the second scrub to find.
+    let ssh =
+        check(&parse_program("ssh", reflex_kernels::ssh::SOURCE).expect("parses")).expect("checks");
+    for program in [car(), &ssh] {
         let store = ProofStore::open(&dir).expect("store opens");
-        verify_with_store(car(), &options, &store, 1).expect("verifies");
+        verify_with_store(program, &options, &store, 1).expect("verifies");
     }
 
     // Flips a payload byte in the first frame of the `skip`-th segment,
@@ -235,8 +240,9 @@ fn repeated_scrubs_keep_every_report() {
 }
 
 /// Head records get the same torn-write discipline as certificate
-/// frames: a torn tmp write is surfaced by the pre-rename fsync, the
-/// save aborts, and no damaged head ever lands at the final path.
+/// frames: a torn head append claims success, the commit's fsync
+/// surfaces it, the save is rolled back, and no damaged head is ever
+/// served — not by this handle, nor by a fresh open of the directory.
 #[test]
 fn head_save_aborts_on_torn_write_and_recovers() {
     use reflex_ast::fingerprint::Fp;
@@ -257,24 +263,37 @@ fn head_save_aborts_on_torn_write_and_recovers() {
 
     assert!(
         store.save_head("car", Fp(7), &head).is_err(),
-        "the torn head write must be surfaced by the fsync"
+        "the torn head append must be surfaced by the commit"
     );
     assert_eq!(fs.injected(), 1, "exactly the scripted torn write fired");
     assert!(store.io_errors() > 0, "the failed fsync is counted");
     assert!(
         store.load_head("car", Fp(7)).is_none(),
-        "no damaged head lands at the final path"
+        "a rolled-back head is a miss"
+    );
+    assert!(
+        ProofStore::open(&dir)
+            .expect("store re-opens on the real fs")
+            .load_head("car", Fp(7))
+            .is_none(),
+        "no damaged head lands on disk"
     );
 
-    // The script is spent: a clean retry round-trips bit-exactly.
+    // The script is spent: a clean retry round-trips bit-exactly, in
+    // this handle and across a reopen.
     store.save_head("car", Fp(7), &head).expect("clean save");
     let back = store.load_head("car", Fp(7)).expect("head round-trips");
     assert_eq!(back.program, head.program);
     assert_eq!(back.properties, head.properties);
+    let reopened = ProofStore::open(&dir).expect("store re-opens on the real fs");
+    assert_eq!(reopened.load_head("car", Fp(7)), Some(head));
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A read-EIO plan makes `load_head` a counted miss, never an error or a
-/// wrong head; healing the fs serves the intact record again.
+/// A read-EIO plan makes the head a counted miss, never an error or a
+/// wrong head: heads are read by the open-time scan, which skips the
+/// unreadable segment. Reopening over the healed fs serves the intact
+/// record again.
 #[test]
 fn head_load_treats_read_eio_as_a_counted_miss() {
     use reflex_ast::fingerprint::Fp;
@@ -304,41 +323,47 @@ fn head_load_treats_read_eio_as_a_counted_miss() {
 
     // Healed, the record on disk is still whole.
     fs.heal();
+    let store = ProofStore::open_with(&dir, Arc::new(fs.clone()) as Arc<dyn VerifyFs>)
+        .expect("store re-opens on the healed fs");
     let back = store.load_head("car", Fp(7)).expect("head survives intact");
     assert_eq!(back.program, head.program);
     assert_eq!(back.properties, head.properties);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The real filesystem, recording where every rename lands.
+/// The real filesystem, counting reads, head-frame appends and renames.
 #[derive(Debug, Default)]
 struct CountingFs {
-    renamed_to: std::sync::Mutex<Vec<PathBuf>>,
+    reads: std::sync::atomic::AtomicUsize,
+    head_appends: std::sync::atomic::AtomicUsize,
+    renames: std::sync::atomic::AtomicUsize,
 }
 
 impl CountingFs {
-    /// Renames that landed on a head record: one per head write.
+    /// Head frames appended to the log: one per head write. A head
+    /// frame starts with the magic `RXHD`.
     fn head_writes(&self) -> usize {
-        self.renamed_to
-            .lock()
-            .expect("rename log poisoned")
-            .iter()
-            .filter(|to| to.extension().is_some_and(|e| e == "head"))
-            .count()
+        self.head_appends.load(std::sync::atomic::Ordering::SeqCst)
     }
 }
 
 impl VerifyFs for CountingFs {
     fn read(&self, path: &std::path::Path) -> std::io::Result<Vec<u8>> {
+        self.reads.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
         RealFs.read(path)
     }
     fn write(&self, path: &std::path::Path, bytes: &[u8]) -> std::io::Result<()> {
         RealFs.write(path, bytes)
     }
     fn append(&self, path: &std::path::Path, bytes: &[u8]) -> std::io::Result<()> {
+        if bytes.starts_with(b"RXHD") {
+            self.head_appends
+                .fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+        }
         RealFs.append(path, bytes)
     }
     fn read_at(&self, path: &std::path::Path, offset: u64, len: usize) -> std::io::Result<Vec<u8>> {
+        self.reads.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
         RealFs.read_at(path, offset, len)
     }
     fn truncate(&self, path: &std::path::Path, len: u64) -> std::io::Result<()> {
@@ -351,14 +376,15 @@ impl VerifyFs for CountingFs {
         RealFs.sync(path)
     }
     fn rename(&self, from: &std::path::Path, to: &std::path::Path) -> std::io::Result<()> {
-        self.renamed_to
-            .lock()
-            .expect("rename log poisoned")
-            .push(to.to_path_buf());
+        self.renames
+            .fetch_add(1, std::sync::atomic::Ordering::SeqCst);
         RealFs.rename(from, to)
     }
     fn remove_file(&self, path: &std::path::Path) -> std::io::Result<()> {
         RealFs.remove_file(path)
+    }
+    fn remove_dir(&self, path: &std::path::Path) -> std::io::Result<()> {
+        RealFs.remove_dir(path)
     }
     fn create_dir_all(&self, path: &std::path::Path) -> std::io::Result<()> {
         RealFs.create_dir_all(path)
@@ -371,8 +397,9 @@ impl VerifyFs for CountingFs {
     }
 }
 
-/// A repeated store run of an unchanged program leaves its head record
-/// alone; a changed program rewrites it, and so does changing back.
+/// A repeated store run of an unchanged program appends no head frame;
+/// a changed program appends one, and so does changing back. No run
+/// renames anything.
 #[test]
 fn an_unchanged_head_is_not_rewritten() {
     let dir = temp_store("head-unchanged");
@@ -405,5 +432,44 @@ fn an_unchanged_head_is_not_rewritten() {
     assert_eq!(fs.head_writes(), 3, "changing back rewrites it again");
     let head = store.load_head("car", opts_fp).expect("head present");
     assert_eq!(head.program, car().fingerprints().program);
+    assert_eq!(
+        fs.renames.load(std::sync::atomic::Ordering::SeqCst),
+        0,
+        "head records are appended, never renamed into place"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A key the index lacks is a miss that reads no file: neither a segment
+/// nor a flat `{prog}-{prop}-{opts}.cert` path is tried. Indexed entries
+/// still read their segment.
+#[test]
+fn a_miss_reads_no_file() {
+    use reflex_ast::fingerprint::Fp;
+
+    let dir = temp_store("miss");
+    let fs = Arc::new(CountingFs::default());
+    let options = ProverOptions::default();
+    let opts_fp = options.fingerprint();
+    {
+        let store = ProofStore::open(&dir).expect("store opens");
+        verify_with_store(car(), &options, &store, 1).expect("verifies");
+    }
+    let store =
+        ProofStore::open_with(&dir, Arc::clone(&fs) as Arc<dyn VerifyFs>).expect("store opens");
+    let reads = || fs.reads.load(std::sync::atomic::Ordering::SeqCst);
+    let fps = car().fingerprints();
+    let before = reads();
+    assert!(store.load(Fp(1), Fp(2), opts_fp).is_none());
+    assert!(
+        store.load(fps.program, Fp(0x5eed), opts_fp).is_none(),
+        "an unknown property of a stored program is a miss"
+    );
+    assert_eq!(reads(), before, "a miss makes 0 reads");
+
+    let (name, _) = &baseline()[0];
+    let pfp = fps.property(name).expect("known property");
+    assert!(store.load(fps.program, pfp, opts_fp).is_some());
+    assert_eq!(reads(), before + 1, "a cold hit reads its frame once");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -9,7 +9,7 @@ use std::path::{Path, PathBuf};
 
 use reflex_parser::parse_program;
 use reflex_typeck::{check, CheckedProgram};
-use reflex_verify::{verify_with_store, ProofStore, ProverOptions};
+use reflex_verify::{certificate_to_bytes, verify_with_store, ProofStore, ProverOptions};
 
 fn temp_store(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("rx-store-test-{tag}-{}", std::process::id()));
@@ -21,30 +21,19 @@ fn checked(name: &str, source: &str) -> CheckedProgram {
     check(&parse_program(name, source).expect("parses")).expect("checks")
 }
 
-/// Every segment log file across the store's shard directories.
+/// Every segment of the store's log.
 fn segment_files(dir: &Path) -> Vec<PathBuf> {
-    let mut files = Vec::new();
-    for entry in fs::read_dir(dir).expect("store directory exists") {
-        let path = entry.expect("readable entry").path();
-        let shard = path
-            .file_name()
-            .and_then(|n| n.to_str())
-            .is_some_and(|n| n.starts_with("shard-"));
-        if path.is_dir() && shard {
-            for seg in fs::read_dir(&path).expect("readable shard") {
-                let seg = seg.expect("readable entry").path();
-                if seg.extension().is_some_and(|e| e == "log") {
-                    files.push(seg);
-                }
-            }
-        }
-    }
+    let mut files: Vec<PathBuf> = fs::read_dir(dir.join("log"))
+        .expect("the store has a log directory")
+        .map(|entry| entry.expect("readable entry").path())
+        .filter(|path| path.extension().is_some_and(|e| e == "log"))
+        .collect();
     files.sort();
     assert!(!files.is_empty(), "store has segment files");
     files
 }
 
-/// `relative path -> bytes` for the whole store tree (shards included).
+/// `relative path -> bytes` for the whole store tree (the log included).
 fn snapshot(dir: &Path) -> BTreeMap<String, Vec<u8>> {
     fn walk(root: &Path, dir: &Path, out: &mut BTreeMap<String, Vec<u8>>) {
         for entry in fs::read_dir(dir).expect("store directory exists") {
@@ -290,5 +279,105 @@ fn compaction_drops_superseded_frames_and_keeps_the_live_set() {
     let sr = verify_with_store(&edited, &options, &store, 1).expect("verifies");
     assert_eq!(sr.loaded, loaded_before);
     assert_eq!(sr.report.reused.len(), edited.program().properties.len());
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// Copies a directory tree (the checked-in fixture) to `to`.
+fn copy_tree(from: &Path, to: &Path) {
+    fs::create_dir_all(to).expect("fixture copy directory");
+    for entry in fs::read_dir(from).expect("fixture exists") {
+        let path = entry.expect("readable entry").path();
+        let dest = to.join(path.file_name().expect("named entry"));
+        if path.is_dir() {
+            copy_tree(&path, &dest);
+        } else {
+            fs::copy(&path, &dest).expect("fixture file copies");
+        }
+    }
+}
+
+/// Every file under `dir`, as paths relative to it.
+fn tree_files(dir: &Path) -> Vec<String> {
+    snapshot(dir).into_keys().collect()
+}
+
+/// `tests/fixtures/sharded-store` is a store in the previous, sharded
+/// layout — 16 shard directories of segments, a `MANIFEST` and one
+/// `head-….head` file per program — written by `rx verify --store` of
+/// `car.rx` and then `ssh.rx`. It must be served in place (every
+/// certificate byte-identical to a fresh proof, both heads), and
+/// compaction must fold it into the one log: no shard directory, head
+/// file or manifest left, nothing quarantined, and the newest head per
+/// program kept.
+#[test]
+fn sharded_layout_stores_serve_in_place_and_compact_into_the_log() {
+    let dir = temp_store("sharded");
+    copy_tree(
+        &Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/sharded-store"),
+        &dir,
+    );
+    let options = ProverOptions::default();
+    let opts_fp = options.fingerprint();
+    let car = checked("car", reflex_kernels::car::SOURCE);
+    let ssh = checked("ssh", reflex_kernels::ssh::SOURCE);
+
+    // Every certificate, per key, with a freshly proved one's bytes, and
+    // the head naming exactly that program version.
+    let assert_serves = |store: &ProofStore, program: &CheckedProgram, context: &str| {
+        let fps = program.fingerprints();
+        let name = &program.program().name;
+        for (prop, outcome) in reflex_verify::prove_all(program, &options) {
+            let fresh = outcome.certificate().expect("bundled kernels prove");
+            let pfp = fps.property(&prop).expect("known property");
+            let stored = store
+                .load(fps.program, pfp, opts_fp)
+                .unwrap_or_else(|| panic!("{context}: {name}/{prop} is served"));
+            assert_eq!(
+                certificate_to_bytes(&stored),
+                certificate_to_bytes(fresh),
+                "{context}: {name}/{prop} bytes"
+            );
+        }
+        let head = store
+            .load_head(name, opts_fp)
+            .unwrap_or_else(|| panic!("{context}: {name} head is read"));
+        assert_eq!(head.program, fps.program, "{context}: {name} head");
+    };
+    let store = ProofStore::open(&dir).expect("the sharded layout opens");
+    assert_serves(&store, &car, "in place");
+    assert_serves(&store, &ssh, "in place");
+    let props = car.program().properties.len() + ssh.program().properties.len();
+    let stat = store.stat().expect("stat");
+    assert_eq!((stat.entries, stat.flat_entries, stat.heads), (props, 0, 2));
+
+    // An edited car files its certificates and a newer head in the log,
+    // beside the sharded layout's head file for car.
+    let edited_src =
+        reflex_kernels::car::SOURCE.replacen(r#"Volume("up")"#, r#"Volume("loud")"#, 1);
+    let edited = checked("car", &edited_src);
+    verify_with_store(&edited, &options, &store, 1).expect("edit verifies");
+    let before = store.entries();
+
+    let report = store.compact(None).expect("compacts");
+    assert!(report.quarantined.is_empty(), "{:?}", report.quarantined);
+    assert_eq!(store.entries(), before, "compaction keeps every entry");
+    let files = tree_files(&dir);
+    assert!(
+        files.iter().all(|f| f.starts_with("log/seg-")),
+        "only the one log is left: {files:?}"
+    );
+    let stat = store.stat().expect("stat after compaction");
+    assert_eq!(stat.heads, 2, "one head per program");
+
+    // A fresh open of the compacted store serves the same: the original
+    // car and ssh certificates, the edited car's head (the newest) and
+    // ssh's.
+    let store = ProofStore::open(&dir).expect("the compacted store opens");
+    assert_eq!(store.entries(), before);
+    assert_serves(&store, &ssh, "compacted");
+    let head = store.load_head("car", opts_fp).expect("car head");
+    assert_eq!(head.program, edited.fingerprints().program, "newest head");
+    let sr = verify_with_store(&car, &options, &store, 1).expect("verifies");
+    assert_eq!(sr.report.reused.len(), car.program().properties.len());
     let _ = fs::remove_dir_all(&dir);
 }

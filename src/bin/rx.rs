@@ -13,8 +13,8 @@
 //! rx sim     replay FILE      re-execute a repro.json bit for bit
 //! rx store   scrub DIR [FILE] validate a proof store, quarantining bad entries
 //! rx store   compact DIR      rewrite live entries into fresh segments
-//! rx store   migrate DIR      fold a flat-layout store into segment logs
-//! rx store   stat DIR         entry/segment/shard counts and index cost
+//! rx store   migrate DIR      fold older store layouts into the log
+//! rx store   stat DIR         entry/head/segment counts and index cost
 //! rx gen     PRESET           emit a deterministic synthetic kernel
 //! rx bench   store            flat vs log-structured store throughput
 //! rx client  ACTION           talk to a running rxd daemon
@@ -1300,13 +1300,14 @@ fn cmd_sim(parsed: &cli::Parsed) -> Result<(), CliError> {
 
 /// `rx store scrub|compact|migrate|stat DIR [FILE]`: audit or reshape a
 /// proof store in place. `scrub` and `compact` are the same pass —
-/// rewrite live entries into fresh segments, drop superseded frames,
-/// quarantine corrupt ones; with FILE, entries belonging to that
-/// kernel's current properties are additionally re-validated by the
-/// independent checker. `migrate` folds a flat-layout store into the
-/// segmented layout (compaction without a kernel). `stat` reports entry,
-/// segment and shard counts, on-disk bytes, and the open-time index
-/// build cost, as text or `--json`.
+/// rewrite live entries and the newest head per program into fresh log
+/// segments, drop superseded frames, quarantine corrupt ones, fold the
+/// older flat and sharded layouts into the log; with FILE, entries
+/// belonging to that kernel's current properties are additionally
+/// re-validated by the independent checker. `migrate` is compaction
+/// without a kernel. `stat` reports entry, head and segment counts,
+/// on-disk bytes, and the open-time index build cost, as text or
+/// `--json`.
 fn cmd_store(parsed: &cli::Parsed) -> Result<(), CliError> {
     let (action, dir, file) =
         match parsed.positional.as_slice() {
